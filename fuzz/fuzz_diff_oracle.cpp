@@ -2,7 +2,8 @@
 /// into an update trace — announces, withdrawals, session drops, and
 /// cross-participant steering — that is replayed through the oracle's
 /// standing equivalences (fast path, parallel compile, crash recovery,
-/// partitioning, classification, and safety verification). The custom
+/// partitioning, classification, batching, safety verification, and
+/// change-driven re-advertisement). The custom
 /// mutator works on the decoded trace — resizing the exchange,
 /// adding/removing/perturbing ops — so every mutant is a semantically
 /// meaningful trace rather than a reframed byte string.

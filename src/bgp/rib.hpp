@@ -20,6 +20,18 @@ class Rib {
   /// Adds or replaces the route for its prefix. Returns true when new.
   bool add(Route route);
 
+  /// Sets the route for \p prefix to \p attrs with the next hop replaced
+  /// by \p next_hop — the route a router learns from an UPDATE, which
+  /// carries no provenance. The stored route is compared in place and
+  /// rewritten only when it differs, so re-advertising what a router
+  /// already holds copies nothing. Returns true when the RIB changed.
+  bool assign(Ipv4Prefix prefix, const RouteAttributes& attrs,
+              Ipv4Address next_hop);
+
+  /// True when assign() with these arguments would change nothing.
+  bool holds(Ipv4Prefix prefix, const RouteAttributes& attrs,
+             Ipv4Address next_hop) const;
+
   /// Removes the route for \p prefix. Returns true when present.
   bool withdraw(Ipv4Prefix prefix);
 

@@ -64,6 +64,18 @@ struct RouteAttributes {
                          const RouteAttributes&) = default;
 };
 
+/// operator== with the next hop left out: true when a router holding \p a
+/// needs at most a next-hop rewrite to hold \p b. The structured binding
+/// names every field, so adding one to RouteAttributes stops this from
+/// compiling until the comparison covers it too.
+inline bool equal_but_next_hop(const RouteAttributes& a,
+                               const RouteAttributes& b) {
+  const auto& [origin, as_path, next_hop, med, local_pref, communities] = a;
+  static_cast<void>(next_hop);
+  return origin == b.origin && as_path == b.as_path && med == b.med &&
+         local_pref == b.local_pref && communities == b.communities;
+}
+
 /// A route as known by the route server: prefix + attributes + provenance
 /// (which peer session it was learned over, for loop prevention and
 /// tie-breaking).

@@ -38,21 +38,26 @@ const RouteServer::Peer* RouteServer::peer(ParticipantId id) const {
 }
 
 std::vector<RouteServer::BestChange> RouteServer::apply_and_diff(
-    Ipv4Prefix prefix, const std::function<void()>& mutate) {
-  // Snapshot each participant's best before the mutation...
-  std::vector<const Route*> old_best(peers_.size(), nullptr);
-  std::vector<Route> old_copies;
-  old_copies.reserve(peers_.size());
+    Ipv4Prefix prefix, ParticipantId mover,
+    const std::function<void()>& mutate) {
+  // Snapshot each participant's old best by its advertiser. The mutation
+  // touches only `mover`'s candidate, so every other advertiser's route
+  // survives it unchanged and is read back afterwards; only the mover's
+  // old route needs a copy.
+  std::vector<std::optional<ParticipantId>> old_from(peers_.size());
+  std::optional<Route> replaced;
   if (auto it = rib_.find(prefix); it != rib_.end()) {
     for (std::size_t i = 0; i < peers_.size(); ++i) {
-      old_best[i] = best_for(it->second, peers_[i]);
+      if (const Route* r = best_for(it->second, peers_[i])) {
+        old_from[i] = r->learned_from;
+      }
     }
-  }
-  // best_for returns pointers into the candidate vector, which `mutate`
-  // invalidates — copy the routes out first.
-  std::vector<std::optional<Route>> old_routes(peers_.size());
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    if (old_best[i] != nullptr) old_routes[i] = *old_best[i];
+    for (const Route& r : it->second) {
+      if (r.learned_from == mover) {
+        replaced = r;
+        break;
+      }
+    }
   }
 
   mutate();
@@ -60,17 +65,25 @@ std::vector<RouteServer::BestChange> RouteServer::apply_and_diff(
   std::vector<BestChange> changes;
   const std::vector<Route>* ranked = nullptr;
   if (auto it = rib_.find(prefix); it != rib_.end()) ranked = &it->second;
+  const auto old_route = [&](ParticipantId from) -> const Route& {
+    if (from == mover) return *replaced;
+    return *std::find_if(ranked->begin(), ranked->end(),
+                         [from](const Route& r) {
+                           return r.learned_from == from;
+                         });
+  };
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     const Route* now =
         ranked != nullptr ? best_for(*ranked, peers_[i]) : nullptr;
-    const bool was = old_routes[i].has_value();
-    const bool is = now != nullptr;
-    if (!was && !is) continue;
-    if (was && is && *old_routes[i] == *now) continue;
+    if (!old_from[i] && now == nullptr) continue;
+    if (old_from[i] && now != nullptr && *old_from[i] == now->learned_from &&
+        (*old_from[i] != mover || *replaced == *now)) {
+      continue;
+    }
     BestChange c;
     c.participant = peers_[i].id;
     c.prefix = prefix;
-    c.old_best = old_routes[i];
+    if (old_from[i]) c.old_best = old_route(*old_from[i]);
     if (now != nullptr) c.new_best = *now;
     changes.push_back(std::move(c));
   }
@@ -83,7 +96,8 @@ std::vector<RouteServer::BestChange> RouteServer::announce(Route route) {
                                 std::to_string(route.learned_from));
   }
   const Ipv4Prefix prefix = route.prefix;
-  auto changes = apply_and_diff(prefix, [this, &route, prefix]() {
+  auto changes = apply_and_diff(prefix, route.learned_from,
+                                [this, &route, prefix]() {
     auto& ranked = rib_[prefix];
     std::erase_if(ranked, [&route](const Route& r) {
       return r.learned_from == route.learned_from;
@@ -111,7 +125,7 @@ std::vector<RouteServer::BestChange> RouteServer::withdraw(
     throw std::invalid_argument("withdraw from unknown participant " +
                                 std::to_string(from));
   }
-  auto changes = apply_and_diff(prefix, [this, from, prefix]() {
+  auto changes = apply_and_diff(prefix, from, [this, from, prefix]() {
     auto it = rib_.find(prefix);
     if (it == rib_.end()) return;
     std::erase_if(it->second, [from](const Route& r) {
@@ -155,12 +169,17 @@ std::optional<Route> RouteServer::best_route_lpm(
 
 std::optional<Route> RouteServer::best_route(ParticipantId for_participant,
                                              Ipv4Prefix prefix) const {
-  const Peer* to = peer(for_participant);
-  auto it = rib_.find(prefix);
-  if (to == nullptr || it == rib_.end()) return std::nullopt;
-  const Route* r = best_for(it->second, *to);
+  const Route* r = best(for_participant, prefix);
   if (r == nullptr) return std::nullopt;
   return *r;
+}
+
+const Route* RouteServer::best(ParticipantId for_participant,
+                               Ipv4Prefix prefix) const {
+  const Peer* to = peer(for_participant);
+  auto it = rib_.find(prefix);
+  if (to == nullptr || it == rib_.end()) return nullptr;
+  return best_for(it->second, *to);
 }
 
 bool RouteServer::exports_to(ParticipantId via, ParticipantId to,

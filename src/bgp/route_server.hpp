@@ -89,6 +89,10 @@ class RouteServer {
   std::optional<Route> best_route(ParticipantId for_participant,
                                   Ipv4Prefix prefix) const;
 
+  /// best_route() without the copy: a pointer into the candidate table,
+  /// valid until the next announce/withdraw (nullptr when none).
+  const Route* best(ParticipantId for_participant, Ipv4Prefix prefix) const;
+
   /// One pass over the RIB: every prefix for which \p viewer has an
   /// eligible best route, mapped to that route's advertiser. Semantically
   /// `best_route(viewer, p)->learned_from` for every known p, but computed
@@ -168,7 +172,10 @@ class RouteServer {
     return nullptr;
   }
 
+  /// Runs \p mutate, which may change only \p mover's candidate for
+  /// \p prefix, and returns every participant whose best route it changed.
   std::vector<BestChange> apply_and_diff(Ipv4Prefix prefix,
+                                         ParticipantId mover,
                                          const std::function<void()>& mutate);
 
   DecisionConfig cfg_;

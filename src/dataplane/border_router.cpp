@@ -3,13 +3,10 @@
 namespace sdx::dp {
 
 void BorderRouter::process_update(const bgp::UpdateMessage& update) {
-  for (auto prefix : update.withdrawn) rib_.withdraw(prefix);
+  for (auto prefix : update.withdrawn) withdraw(prefix);
   if (update.attrs.has_value()) {
     for (auto prefix : update.nlri) {
-      bgp::Route r;
-      r.prefix = prefix;
-      r.attrs = *update.attrs;
-      rib_.add(std::move(r));
+      advertise(prefix, *update.attrs, update.attrs->next_hop);
     }
   }
 }

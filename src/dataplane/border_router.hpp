@@ -37,6 +37,18 @@ class BorderRouter {
   /// Applies a BGP UPDATE received over the route-server session.
   void process_update(const bgp::UpdateMessage& update);
 
+  /// The in-process delivery of one route-server advertisement, written in
+  /// place: \p prefix → \p attrs with the next hop rewritten to
+  /// \p next_hop. Returns true when the FIB changed (false when the router
+  /// already held exactly this route).
+  bool advertise(net::Ipv4Prefix prefix, const bgp::RouteAttributes& attrs,
+                 net::Ipv4Address next_hop) {
+    return rib_.assign(prefix, attrs, next_hop);
+  }
+
+  /// Removes \p prefix from the FIB; returns true when it was present.
+  bool withdraw(net::Ipv4Prefix prefix) { return rib_.withdraw(prefix); }
+
   const bgp::Rib& rib() const { return rib_; }
 
   /// Forwards an IP packet toward \p payload's destination: LPM → next-hop

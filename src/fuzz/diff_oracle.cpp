@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -39,11 +40,17 @@ net::Asn asn_of(std::size_t p) { return static_cast<net::Asn>(65000 + p); }
 
 /// The deterministic base exchange the trace perturbs: every participant
 /// steers port-80 and port-443 traffic to its two clockwise neighbours,
-/// and prefix j is originated by participant (j mod n) + 1.
-void build_base(SdxRuntime& rt, const Trace& t) {
+/// and prefix j is originated by participant (j mod n) + 1. Participant 1
+/// gets \p first_ports ports. Not yet installed.
+void populate_base(SdxRuntime& rt, const Trace& t,
+                   OracleOptions::Fault fault, std::size_t first_ports) {
   const std::size_t n = t.participants;
   for (std::size_t p = 1; p <= n; ++p) {
-    rt.add_participant("P" + std::to_string(p), asn_of(p));
+    rt.add_participant("P" + std::to_string(p), asn_of(p),
+                       p == 1 ? first_ports : 1);
+  }
+  if (fault == OracleOptions::Fault::kDropReceiverChanges) {
+    rt.drop_receiver_changes_for_test(1);
   }
   for (std::size_t p = 1; p <= n; ++p) {
     std::vector<core::OutboundClause> clauses;
@@ -65,10 +72,20 @@ void build_base(SdxRuntime& rt, const Trace& t) {
                 net::AsPath{asn_of(owner),
                             static_cast<net::Asn>(1000 + j)});
   }
+}
+
+void build_base(SdxRuntime& rt, const Trace& t) {
+  populate_base(rt, t, OracleOptions::Fault::kNone, 1);
   rt.install();
 }
 
-void apply_op(SdxRuntime& rt, const Trace& t, const TraceOp& op) {
+/// Applies one trace op. A steer recompiles the whole exchange afterwards
+/// when \p recompile_steer is set and the runtime is installed, so every
+/// oracle side sees the same deployed state whatever its update mode;
+/// without it, a partitioned runtime recompiles just the steering
+/// participant's partition.
+void apply_op(SdxRuntime& rt, const Trace& t, const TraceOp& op,
+              bool recompile_steer = true) {
   const auto p =
       static_cast<bgp::ParticipantId>(1 + op.participant % t.participants);
   const std::size_t j = op.prefix % t.prefixes;
@@ -105,9 +122,7 @@ void apply_op(SdxRuntime& rt, const Trace& t, const TraceOp& op) {
       clauses.push_back(core::OutboundClause{
           core::ClauseMatch{}.dst(prefix_of(j)).dst_port(53), target});
       rt.set_outbound(p, std::move(clauses));
-      // Policy edits have no fast path; recompile so every oracle side sees
-      // the same deployed state regardless of its update mode.
-      if (rt.installed()) rt.background_recompile();
+      if (recompile_steer && rt.installed()) rt.background_recompile();
       break;
     }
   }
@@ -147,6 +162,99 @@ std::vector<std::string> probe_signature(SdxRuntime& rt, const Trace& t) {
     }
   }
   return out;
+}
+
+/// Equivalence (h)'s comparison: each border router's FIB against a fresh
+/// reference router fed one UPDATE per prefix — every prefix the trace can
+/// touch plus every prefix the router holds — derived from the runtime's
+/// public state alone: the receiver's best route, with the next hop
+/// rewritten to the advertised binding (the prefix's global binding, else
+/// the receiver's own partition binding, else its advertiser's remote
+/// binding). \p where names the point in the run for the report.
+OracleVerdict compare_fibs(SdxRuntime& rt, const Trace& t,
+                           const std::string& where) {
+  for (std::size_t slot = 0; slot < rt.participants().size(); ++slot) {
+    const core::Participant& p = rt.participants()[slot];
+    for (std::size_t k = 0; k < p.ports.size(); ++k) {
+      const dp::BorderRouter& router = rt.router(p.id, k);
+      std::set<net::Ipv4Prefix> universe;
+      for (std::size_t j = 0; j < t.prefixes; ++j) {
+        universe.insert(prefix_of(j));
+      }
+      router.rib().for_each(
+          [&universe](const bgp::Route& r) { universe.insert(r.prefix); });
+      dp::BorderRouter reference(router.asn(), router.port(), router.mac(),
+                                 router.ip());
+      for (const auto prefix : universe) {
+        bgp::UpdateMessage msg;
+        const auto best = rt.route_server().best_route(p.id, prefix);
+        if (!best) {
+          msg.withdrawn.push_back(prefix);
+        } else {
+          auto binding = rt.current_binding(prefix);
+          if (!binding && rt.installed() && rt.compiled().partitioned) {
+            binding = rt.compiled().partition_binding_for(slot, prefix);
+          }
+          if (!binding) binding = rt.remote_binding(best->learned_from);
+          msg.attrs = best->attrs;
+          if (binding) msg.attrs->next_hop = binding->vnh;
+          msg.nlri.push_back(prefix);
+        }
+        reference.process_update(msg);
+      }
+      if (router.rib().routes() != reference.rib().routes()) {
+        std::string detail = where + ": P" + std::to_string(p.id) +
+                             " router " + std::to_string(k) + " holds";
+        for (const auto& r : router.rib().routes()) {
+          detail += " " + r.to_string();
+        }
+        detail += "; full re-advertisement gives";
+        for (const auto& r : reference.rib().routes()) {
+          detail += " " + r.to_string();
+        }
+        return {false, "readvertise", detail};
+      }
+    }
+  }
+  return {true, "readvertise", ""};
+}
+
+/// Equivalence (h) for one runtime configuration: the first half of the
+/// trace runs before install(), the rest after it. Batched, an op with an
+/// odd variant is followed by a flush; FIBs are compared whenever no
+/// update is pending. Steers do not force a full recompile, so the
+/// partitioned runtime exercises in-place partition recompiles.
+OracleVerdict check_readvertise(const Trace& t, bool partitioned,
+                                bool batched, OracleOptions::Fault fault) {
+  SdxRuntime rt(bgp::DecisionConfig{},
+                core::CompileOptions{.partitioned = partitioned});
+  populate_base(rt, t, fault, /*first_ports=*/2);
+  const std::string mode =
+      std::string(partitioned ? "partitioned" : "pairwise") +
+      (batched ? " batched" : " inline");
+  const std::size_t split = t.ops.size() / 2;
+  for (std::size_t i = 0; i <= t.ops.size(); ++i) {
+    if (i == split) {
+      auto verdict = compare_fibs(rt, t, mode + " before install");
+      if (!verdict.ok) return verdict;
+      rt.install();
+      if (batched) {
+        rt.enable_batching({.max_pending = 0, .max_delay_seconds = 0});
+      }
+      verdict = compare_fibs(rt, t, mode + " after install");
+      if (!verdict.ok) return verdict;
+    }
+    if (i == t.ops.size()) break;
+    apply_op(rt, t, t.ops[i], /*recompile_steer=*/false);
+    if (batched && t.ops[i].variant % 2 == 1) rt.flush();
+    if (rt.pending_updates() == 0) {
+      auto verdict =
+          compare_fibs(rt, t, mode + " after op " + std::to_string(i));
+      if (!verdict.ok) return verdict;
+    }
+  }
+  rt.flush();
+  return compare_fibs(rt, t, mode + " at the end");
 }
 
 /// probe_signature's burst twin: the identical probe set, sent through
@@ -563,6 +671,15 @@ OracleVerdict DifferentialOracle::check(const Trace& trace) const {
       }
     } else if (!report.ok()) {
       return {false, "verify", "unsafe deployment: " + report.to_string()};
+    }
+  }
+
+  // (h) change-driven re-advertisement ≡ full re-advertisement.
+  for (const bool partitioned : {false, true}) {
+    for (const bool batched : {false, true}) {
+      auto verdict =
+          check_readvertise(trace, partitioned, batched, options_.fault);
+      if (!verdict.ok) return verdict;
     }
   }
 

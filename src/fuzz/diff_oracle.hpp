@@ -34,7 +34,15 @@
 ///                     the symbolic safety checker (no forwarding loop,
 ///                     isolation breach, or blackhole), and every
 ///                     counterexample the checker does emit must reproduce
-///                     when its packet is replayed through the data plane.
+///                     when its packet is replayed through the data plane;
+///   (h) re-advertisement — before install, the runtime re-advertises a
+///                     prefix only to the receivers whose best route
+///                     changed, and every FIB write is in place and
+///                     change-only. At every quiescent point — before
+///                     and after install, batched and inline, pairwise and
+///                     partitioned, with a multi-port participant — every
+///                     border-router FIB must be byte-equal to a reference
+///                     router fed every prefix by a full re-advertisement.
 ///
 /// A failing trace is shrunk by a delta-debugging minimizer and written as
 /// a ready-to-commit regression input under fuzz/corpus/regressions/, so a
@@ -128,6 +136,10 @@ struct OracleOptions {
     /// route server, leaving stale router FIBs) — the safety verifier must
     /// report a loop whose counterexample packet reproduces under replay.
     kPlantVerifierLoop,
+    /// Participant 1's best-route changes go unrecorded, so change-driven
+    /// re-advertisements skip its routers — models fan-out bookkeeping
+    /// that loses a receiver.
+    kDropReceiverChanges,
   };
   Fault fault = Fault::kNone;
 
@@ -138,7 +150,8 @@ struct OracleOptions {
 struct OracleVerdict {
   bool ok = true;
   std::string oracle;  ///< "fast-path" | "threads" | "recovery" |
-                       ///< "partitioned" | "classifier" | "batch" | "verify"
+                       ///< "partitioned" | "classifier" | "batch" |
+                       ///< "verify" | "readvertise"
   std::string detail;  ///< first observed divergence, human-readable
 };
 

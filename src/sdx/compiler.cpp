@@ -211,7 +211,7 @@ std::vector<Ipv4Prefix> SdxCompiler::clause_reach(
 DefaultVector SdxCompiler::defaults_for(Ipv4Prefix prefix) const {
   DefaultVector out(participants_.size());
   for (std::size_t i = 0; i < participants_.size(); ++i) {
-    if (auto best = server_.best_route(participants_[i].id, prefix)) {
+    if (const bgp::Route* best = server_.best(participants_[i].id, prefix)) {
       out[i] = best->learned_from;
     }
   }

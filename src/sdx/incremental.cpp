@@ -61,10 +61,11 @@ std::vector<IncrementalEngine::Hit> IncrementalEngine::hits_for(
     for (const auto& c : p.outbound) {
       const std::uint32_t clause_id = id++;
       if (!server.exports_to(c.to, p.id, prefix)) continue;
-      if (!c.match.dst_prefixes.empty()) {
-        bool contained = false;
-        for (auto dp : c.match.dst_prefixes) contained |= dp.contains(prefix);
-        if (!contained) continue;
+      if (!c.match.dst_prefixes.empty() &&
+          std::none_of(
+              c.match.dst_prefixes.begin(), c.match.dst_prefixes.end(),
+              [prefix](Ipv4Prefix dp) { return dp.contains(prefix); })) {
+        continue;
       }
       hits.push_back(Hit{&p, &c, clause_id});
     }

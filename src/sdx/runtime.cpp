@@ -291,12 +291,7 @@ void SdxRuntime::announce(ParticipantId from, Ipv4Prefix prefix,
                              : p.primary_port().router_ip;
   route.learned_from = from;
   route.peer_router_id = server_.peer(from)->router_id;
-  server_.announce(std::move(route));
-  if (installed()) {
-    note_post_install_update(prefix);
-  } else {
-    readvertise(prefix);
-  }
+  note_update(prefix, server_.announce(std::move(route)));
 }
 
 std::size_t SdxRuntime::session_down(ParticipantId id) {
@@ -348,12 +343,7 @@ void SdxRuntime::withdraw(ParticipantId from, Ipv4Prefix prefix) {
     rec.prefix = prefix;
     journal_->append(rec);
   }
-  server_.withdraw(from, prefix);
-  if (installed()) {
-    note_post_install_update(prefix);
-  } else {
-    readvertise(prefix);
-  }
+  note_update(prefix, server_.withdraw(from, prefix));
 }
 
 const CompiledSdx& SdxRuntime::deploy() {
@@ -498,7 +488,7 @@ void SdxRuntime::apply_recompile(RecompileJob job) {
   update_log_.clear();
   // Every pending dirty prefix predating the snapshot is covered by the new
   // table; anything that raced past it re-applies through one batched fast
-  // pass on top of the new base (note_post_install_update recorded both).
+  // pass on top of the new base (note_update recorded both).
   // Pending prefixes whose deferred withdrawal emptied their RIB entry get
   // an explicit re-advertisement — the all_prefixes() walk can't see them.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
@@ -707,10 +697,32 @@ std::string SdxRuntime::dump_trace() const {
 
 void SdxRuntime::readvertise(Ipv4Prefix prefix) {
   const auto global = advertised_binding(prefix);
-  const bool partitioned = installed() && compiled().partitioned;
   for (std::size_t slot = 0; slot < participants_.size(); ++slot) {
-    const auto& p = participants_[slot];
-    if (p.is_remote()) continue;
+    advertise_to(slot, prefix, global);
+  }
+}
+
+void SdxRuntime::readvertise(Ipv4Prefix prefix,
+                             std::span<const ParticipantId> receivers) {
+  if (receivers.empty()) return;
+  const auto global = advertised_binding(prefix);
+  std::vector<bool> done(participants_.size(), false);
+  for (ParticipantId id : receivers) {
+    // Participant ids are slot + 1 (assigned in registration order).
+    const std::size_t slot = id - 1;
+    if (slot >= participants_.size() || done[slot]) continue;
+    done[slot] = true;
+    advertise_to(slot, prefix, global);
+  }
+}
+
+void SdxRuntime::advertise_to(std::size_t slot, Ipv4Prefix prefix,
+                              const std::optional<VnhBinding>& global) {
+  const auto& p = participants_[slot];
+  if (p.is_remote()) return;
+  const bgp::Route* best = server_.best(p.id, prefix);
+  net::Ipv4Address next_hop;
+  if (best != nullptr) {
     // Per-receiver next hop: the fast-path (or pairwise group) binding is
     // receiver-independent; a partitioned artifact advertises each receiver
     // the binding of *its own* partition group — the tag encodes the
@@ -718,40 +730,63 @@ void SdxRuntime::readvertise(Ipv4Prefix prefix) {
     // another router. Prefixes outside the receiver's partition keep their
     // real (or remote-participant) next hop and ride MAC learning.
     auto binding = global;
-    if (!binding && partitioned) {
+    if (!binding && installed() && compiled().partitioned) {
       binding = compiled().partition_binding_for(slot, prefix);
     }
+    next_hop = best->attrs.next_hop;
+    if (binding) {
+      next_hop = binding->vnh;
+    } else if (auto rb = remote_bindings_.find(best->learned_from);
+               rb != remote_bindings_.end()) {
+      next_hop = rb->second.vnh;
+    }
+  }
+  const std::vector<std::size_t>& routers = router_index_.at(p.id);
+  std::size_t first = 0;
+  if (frontend_ && frontend_->established(p.id)) {
+    // The session's Adj-RIB-Out is what its router last received: send an
+    // UPDATE only when that entry changes.
+    const bgp::Rib& sent = routers_[routers.front()].rib();
+    const bool unchanged = best != nullptr
+                               ? sent.holds(prefix, best->attrs, next_hop)
+                               : sent.find(prefix) == nullptr;
+    if (unchanged) return;
     bgp::UpdateMessage msg;
-    auto best = server_.best_route(p.id, prefix);
-    if (!best) {
+    if (best == nullptr) {
       msg.withdrawn.push_back(prefix);
     } else {
-      bgp::RouteAttributes attrs = best->attrs;
-      if (binding) {
-        attrs.next_hop = binding->vnh;
-      } else if (auto rb = remote_bindings_.find(best->learned_from);
-                 rb != remote_bindings_.end()) {
-        attrs.next_hop = rb->second.vnh;
-      }
-      msg.attrs = std::move(attrs);
+      msg.attrs = best->attrs;
+      msg.attrs->next_hop = next_hop;
       msg.nlri.push_back(prefix);
     }
-    if (frontend_ && frontend_->established(p.id)) {
-      frontend_bytes_->inc(frontend_->distribute(p.id, msg));
-      frontend_updates_->inc();
-      // Secondary routers of multi-port participants share the view.
-      for (std::size_t k = 1; k < router_index_[p.id].size(); ++k) {
-        routers_[router_index_[p.id][k]].process_update(msg);
-      }
+    frontend_bytes_->inc(frontend_->distribute(p.id, msg));
+    frontend_updates_->inc();
+    first = 1;  // secondary routers of multi-port participants share the view
+  }
+  for (std::size_t k = first; k < routers.size(); ++k) {
+    dp::BorderRouter& router = routers_[routers[k]];
+    if (best == nullptr) {
+      router.withdraw(prefix);
     } else {
-      for (std::size_t ri : router_index_[p.id]) {
-        routers_[ri].process_update(msg);
-      }
+      router.advertise(prefix, best->attrs, next_hop);
     }
   }
 }
 
-void SdxRuntime::note_post_install_update(Ipv4Prefix prefix) {
+void SdxRuntime::note_update(
+    Ipv4Prefix prefix,
+    const std::vector<bgp::RouteServer::BestChange>& changes) {
+  if (!installed()) {
+    // No bindings exist yet: only receivers whose best route changed can
+    // see a different advertisement.
+    std::vector<ParticipantId> receivers;
+    receivers.reserve(changes.size());
+    for (const auto& c : changes) {
+      if (c.participant != dropped_receiver_) receivers.push_back(c.participant);
+    }
+    readvertise(prefix, receivers);
+    return;
+  }
   // Raced-delta bookkeeping first: while an asynchronous recompile flies,
   // every touched prefix must be re-applied on top of its result, whether
   // the update runs inline or waits in a batch.

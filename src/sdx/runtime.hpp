@@ -25,6 +25,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -367,6 +368,15 @@ class SdxRuntime {
     return last_safety_report_;
   }
 
+  /// Test seam for the differential oracle's re-advertisement fault
+  /// (equivalence h): from now on, best-route changes of participant
+  /// \p id are ignored, so the change-driven re-advertisements made
+  /// before install() skip its routers while full re-advertisements
+  /// still reach them.
+  void drop_receiver_changes_for_test(ParticipantId id) {
+    dropped_receiver_ = id;
+  }
+
  private:
   static constexpr std::uint32_t kBasePriority = 1000;
   static constexpr std::uint32_t kFastPriority = 1u << 24;
@@ -405,11 +415,25 @@ class SdxRuntime {
   /// only \p id's partition, swap its flow-table band under its cookie,
   /// ARP-bind the fresh bindings and re-advertise the affected prefixes.
   void recompile_participant_partition(ParticipantId id);
+  /// Re-advertises \p prefix to every physical participant's routers.
   void readvertise(Ipv4Prefix prefix);
+  /// Re-advertises \p prefix to \p receivers only (participant ids; remote
+  /// participants and repeats are skipped).
+  void readvertise(Ipv4Prefix prefix, std::span<const ParticipantId> receivers);
+  /// Delivers \p prefix's current advertisement (next hop: \p global, else
+  /// the receiver's partition or remote binding) to the routers of the
+  /// participant in \p slot, writing FIBs in place. A wire-mode receiver
+  /// is sent an UPDATE only when its Adj-RIB-Out entry — what its router
+  /// last received — changes.
+  void advertise_to(std::size_t slot, Ipv4Prefix prefix,
+                    const std::optional<VnhBinding>& global);
   void bind_arp(const CompiledSdx& compiled);
-  /// Post-install update routing: raced-delta tracking, then either the
-  /// inline fast path or the dirty queue (batching).
-  void note_post_install_update(Ipv4Prefix prefix);
+  /// Routes one route-server update. Before install(): re-advertisement
+  /// to the receivers whose best route \p changes altered. After it:
+  /// raced-delta tracking, then either the inline fast path or the dirty
+  /// queue (batching).
+  void note_update(Ipv4Prefix prefix,
+                   const std::vector<bgp::RouteServer::BestChange>& changes);
   void handle_post_install_update(Ipv4Prefix prefix);
   /// One batched fast pass over \p prefixes: compile, install, re-advertise,
   /// log. Shared by flush() and the post-swap raced-delta re-application.
@@ -503,6 +527,9 @@ class SdxRuntime {
   /// its original band overlaps the next band's priorities — harmless,
   /// since partitions match disjoint ingress ports.
   std::vector<std::uint32_t> partition_bases_;
+
+  /// Test seam, see drop_receiver_changes_for_test().
+  std::optional<ParticipantId> dropped_receiver_;
 
   /// Safety verification stage (verify/): present iff enabled.
   std::unique_ptr<verify::SafetyChecker> checker_;

@@ -265,6 +265,63 @@ TEST(BgpFrontendTest, WireDistributionMatchesDirectPath) {
   EXPECT_EQ(frontend.updates_distributed(), 6u);  // 2 prefixes × 3 peers
 }
 
+TEST(BgpFrontendTest, ReannounceThatChangesNoBestRouteSendsNoUpdates) {
+  // Wire mode sends an UPDATE only when a receiver's Adj-RIB-Out entry
+  // changes. Re-announcements that move nobody's best route — C repeating
+  // its route, D offering a longer path than every receiver already
+  // prefers — change none: zero UPDATEs and unchanged FIBs, before
+  // install(), after it through a batched flush, and on the inline path.
+  // (No policy and no VMAC grouping, so the fast path binds no VNH.)
+  CompileOptions options;
+  options.vmac_grouping = false;
+  SdxRuntime rt(bgp::DecisionConfig{}, options);
+  rt.use_wire_distribution();
+  auto a = rt.add_participant("A", 65001);
+  auto b = rt.add_participant("B", 65002, 2);
+  auto c = rt.add_participant("C", 65003);
+  auto d = rt.add_participant("D", 65004);
+  const auto prefix = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(b, prefix, net::AsPath{65002, 9});
+  rt.announce(c, prefix, net::AsPath{65003});
+
+  auto fibs = [&] {
+    std::vector<std::vector<bgp::Route>> out;
+    for (auto id : {a, b, c, d}) {
+      for (std::size_t k = 0; k < rt.participant(id).ports.size(); ++k) {
+        out.push_back(rt.router(id, k).rib().routes());
+      }
+    }
+    return out;
+  };
+  auto reannounce = [&] {
+    rt.announce(c, prefix, net::AsPath{65003});
+    rt.announce(d, prefix, net::AsPath{65004, 7, 8});
+  };
+
+  const auto held = fibs();
+  ASSERT_EQ(held[0].size(), 1u);  // A holds C's route
+  reannounce();
+  EXPECT_EQ(fibs(), held);
+  // D's first announcement moved no best route either, so the only
+  // UPDATEs are those of the first two announcements: A, C and D gain B's
+  // route, then A, B and D switch to C's.
+  EXPECT_EQ(rt.frontend()->updates_distributed(), 6u);
+
+  rt.install();
+  const auto installed = fibs();
+  const auto sent = rt.frontend()->updates_distributed();
+  rt.enable_batching({.max_pending = 0, .max_delay_seconds = 0});
+  reannounce();
+  EXPECT_EQ(rt.flush(), 1u);
+  EXPECT_EQ(rt.frontend()->updates_distributed(), sent);
+  EXPECT_EQ(fibs(), installed);
+
+  rt.disable_batching();
+  reannounce();
+  EXPECT_EQ(rt.frontend()->updates_distributed(), sent);
+  EXPECT_EQ(fibs(), installed);
+}
+
 TEST(BgpFrontendTest, RuntimeWireModeBehavesIdenticallyToDirectMode) {
   // Two identically-configured runtimes — one distributing in-process, one
   // through framed sessions — must deliver identical traffic outcomes.

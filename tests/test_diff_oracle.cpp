@@ -4,7 +4,7 @@
 /// to at most three ops with the delta-debugging minimizer. Clean traces —
 /// including every committed regression input — must pass every
 /// equivalence (fast path, threads, recovery, partitioned, classifier,
-/// safety verification).
+/// safety verification, re-advertisement).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "fuzz/corpus.hpp"
 #include "fuzz/diff_oracle.hpp"
+#include "netbase/rng.hpp"
 
 namespace sdx::fuzz {
 namespace {
@@ -233,6 +234,46 @@ TEST(DiffOracle, DetectsPlantedVerifierLoop) {
   const auto minimized = oracle.minimize(t);
   EXPECT_TRUE(minimized.ops.empty())
       << "a zero-op failure must minimize to zero ops";
+}
+
+TEST(DiffOracle, DetectsReadvertisementSkippingAReceiver) {
+  OracleOptions options;
+  options.fault = OracleOptions::Fault::kDropReceiverChanges;
+  DifferentialOracle oracle(options);
+
+  // Zero ops suffice: participant 1's routers miss the base announcements'
+  // change-driven re-advertisements before install.
+  Trace t;
+  t.participants = 3;
+  t.prefixes = 4;
+  const auto verdict = oracle.check(t);
+  ASSERT_FALSE(verdict.ok) << "planted receiver skip went undetected";
+  EXPECT_EQ(verdict.oracle, "readvertise");
+  EXPECT_NE(verdict.detail.find("P1"), std::string::npos) << verdict.detail;
+
+  const auto minimized = oracle.minimize(t);
+  EXPECT_TRUE(minimized.ops.empty())
+      << "a zero-op failure must minimize to zero ops";
+}
+
+TEST(DiffOracle, ReadvertisementEquivalenceHoldsOnRandomTraces) {
+  // Equivalence (h) alone over random announce/withdraw/steer/session-down
+  // traces: every FIB equals a full re-advertisement's at every quiescent
+  // point, in all four runtime configurations.
+  OracleOptions options;
+  options.check_fast_path = options.check_threads = false;
+  options.check_recovery = options.check_partitioned = false;
+  options.check_classifier = options.check_batch = false;
+  options.check_verifier = false;
+  DifferentialOracle oracle(options);
+  net::SplitMix64 rng(4242);
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::uint8_t> bytes(2 + 4 * kMaxTraceOps);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    const auto trace = decode_trace(bytes);
+    const auto verdict = oracle.check(trace);
+    EXPECT_TRUE(verdict.ok) << trace.to_string() << "\n" << verdict.detail;
+  }
 }
 
 TEST(DiffOracle, MinimizeReturnsPassingTraceUnchanged) {

@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "netbase/as_path.hpp"
@@ -306,6 +308,129 @@ TEST(PrefixTrie, ModelFuzzWithInsertEraseLookup) {
     }
     ASSERT_EQ(trie.size(), model.size());
   }
+}
+
+TEST(PrefixTrie, ChurnOfDistinctPrefixesKeepsStorageBounded) {
+  // A FIB that sees many distinct prefixes over time: 200k /24s pass
+  // through a window of 256 live ones. Erase prunes emptied branches and
+  // recycles node and value slots, so storage tracks the live set.
+  constexpr std::uint32_t kPrefixes = 200'000;
+  constexpr std::uint32_t kWindow = 256;
+  const auto nth = [](std::uint32_t i) {
+    // Spread consecutive prefixes across the address space.
+    return Ipv4Prefix(Ipv4Address((i * 2654435761u) & 0xFFFFFF00u), 24);
+  };
+  PrefixTrie<std::vector<int>> trie;
+  std::size_t peak = 0;
+  for (std::uint32_t i = 0; i < kPrefixes; ++i) {
+    ASSERT_TRUE(trie.insert(nth(i), std::vector<int>(4, 1)));
+    if (i >= kWindow) {
+      ASSERT_TRUE(trie.erase(nth(i - kWindow)));
+    }
+    peak = std::max(peak, trie.node_capacity());
+  }
+  EXPECT_EQ(trie.size(), kWindow);
+  // At most one 24-node branch per live prefix, plus the root.
+  EXPECT_LE(peak, std::size_t{kWindow + 1} * 24 + 1);
+  for (std::uint32_t i = kPrefixes - kWindow; i < kPrefixes; ++i) {
+    ASSERT_TRUE(trie.erase(nth(i)));
+  }
+  EXPECT_TRUE(trie.empty());
+  EXPECT_EQ(trie.node_count(), 1u);  // only the root is left linked
+
+  // Insert-all then erase-all: a second pass over fresh prefixes reuses
+  // the first pass's slots instead of growing storage.
+  for (std::uint32_t i = 0; i < kPrefixes; ++i) trie.insert(nth(i), {});
+  const std::size_t full = trie.node_capacity();
+  for (std::uint32_t i = 0; i < kPrefixes; ++i) ASSERT_TRUE(trie.erase(nth(i)));
+  EXPECT_EQ(trie.node_count(), 1u);
+  for (std::uint32_t i = 0; i < kPrefixes; ++i) {
+    trie.insert(nth(i + kPrefixes), {});
+  }
+  EXPECT_EQ(trie.size(), kPrefixes);
+  EXPECT_LE(trie.node_capacity(), full + 32);
+}
+
+TEST(PrefixTrie, ModelFuzzCoversEveryOperation) {
+  // Model-based fuzz against std::map over prefixes of every length that
+  // share deep branches, so erase's pruning and slot recycling are
+  // exercised: insert, overwrite in place, erase, find, lookup, for_each
+  // and for_each_covering must all agree with the model at every step.
+  SplitMix64 rng(8128);
+  PrefixTrie<std::string> trie;
+  std::map<Ipv4Prefix, std::string> model;
+  auto random_prefix = [&rng]() {
+    const std::uint32_t addr =
+        (static_cast<std::uint32_t>(rng.below(4)) << 30) |
+        static_cast<std::uint32_t>(rng.below(64));
+    return Ipv4Prefix(Ipv4Address(addr), static_cast<int>(rng.range(0, 32)));
+  };
+  auto random_addr = [&rng]() {
+    return Ipv4Address((static_cast<std::uint32_t>(rng.below(4)) << 30) |
+                       static_cast<std::uint32_t>(rng.below(64)));
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const auto p = random_prefix();
+    switch (rng.below(6)) {
+      case 0: {
+        const std::string v(1 + rng.below(40), 'a' + rng.below(26));
+        ASSERT_EQ(trie.insert(p, v), model.insert_or_assign(p, v).second);
+        break;
+      }
+      case 1: {
+        auto [slot, fresh] = trie.try_emplace(p);
+        ASSERT_EQ(fresh, !model.contains(p));
+        ASSERT_EQ(*slot, model[p]);  // fresh slots are value-initialized
+        slot->push_back('z');
+        model[p].push_back('z');
+        break;
+      }
+      case 2:
+      case 3:
+        ASSERT_EQ(trie.erase(p), model.erase(p) > 0);
+        break;
+      case 4: {
+        const std::string* found = trie.find(p);
+        auto it = model.find(p);
+        ASSERT_EQ(found != nullptr, it != model.end());
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
+        const Ipv4Address addr = random_addr();
+        std::vector<std::string> covering;
+        std::optional<Ipv4Prefix> best;
+        for (const auto& [mp, v] : model) {
+          if (!mp.contains(addr)) continue;
+          covering.push_back(v);  // map order = shortest covering first
+          if (!best || mp.length() > best->length()) best = mp;
+        }
+        auto hit = trie.lookup(addr);
+        ASSERT_EQ(hit.has_value(), best.has_value());
+        if (best) {
+          ASSERT_EQ(hit->first, *best);
+          ASSERT_EQ(*hit->second, model.at(*best));
+        }
+        std::vector<std::string> seen;
+        trie.for_each_covering(
+            addr, [&](const std::string& v) { seen.push_back(v); });
+        ASSERT_EQ(seen, covering);
+        break;
+      }
+      default: {
+        std::vector<std::pair<Ipv4Prefix, std::string>> all;
+        trie.for_each([&](Ipv4Prefix q, const std::string& v) {
+          all.emplace_back(q, v);
+        });
+        ASSERT_EQ(all, (std::vector<std::pair<Ipv4Prefix, std::string>>(
+                           model.begin(), model.end())));
+        break;
+      }
+    }
+    ASSERT_EQ(trie.size(), model.size());
+  }
+  for (const auto& [mp, _] : std::map(model)) ASSERT_TRUE(trie.erase(mp));
+  EXPECT_TRUE(trie.empty());
+  EXPECT_EQ(trie.node_count(), 1u);
 }
 
 TEST(FieldMatch, SubsumesAgreesWithMatchSemantics) {

@@ -106,6 +106,32 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
     universe.push_back(Ipv4Prefix(Ipv4Address((10u + i) << 24), 8));
   }
 
+  // Change events must fire exactly when a best route changes, and carry
+  // exactly the model's before and after routes.
+  const auto check_changes =
+      [&model](int step, Ipv4Prefix prefix,
+               const std::vector<RouteServer::BestChange>& changes,
+               const auto& apply_to_model) {
+    std::map<ParticipantId, std::optional<Route>> before;
+    for (const auto& p : model.peers()) {
+      before[p.id] = model.best_route(p.id, prefix);
+    }
+    apply_to_model();
+    for (const auto& p : model.peers()) {
+      const auto after = model.best_route(p.id, prefix);
+      const auto c = std::find_if(changes.begin(), changes.end(),
+                                  [&p](const RouteServer::BestChange& c) {
+                                    return c.participant == p.id;
+                                  });
+      ASSERT_EQ(before[p.id] != after, c != changes.end())
+          << "step " << step << " peer " << p.id;
+      if (c == changes.end()) continue;
+      EXPECT_EQ(c->prefix, prefix);
+      EXPECT_EQ(c->old_best, before[p.id]) << "step " << step;
+      EXPECT_EQ(c->new_best, after) << "step " << step;
+    }
+  };
+
   for (int step = 0; step < 400; ++step) {
     const auto prefix = universe[rng.below(universe.size())];
     const auto who = static_cast<ParticipantId>(1 + rng.below(kPeers));
@@ -131,27 +157,11 @@ TEST_P(RouteServerModel, AgreesWithNaiveReferenceUnderFuzz) {
       r.learned_from = who;
       r.peer_router_id = Ipv4Address(static_cast<std::uint32_t>(who));
 
-      // Change events must fire exactly when a best route changes.
-      std::map<ParticipantId, std::optional<Route>> before;
-      for (const auto& p : model.peers()) {
-        before[p.id] = model.best_route(p.id, prefix);
-      }
-      auto changes = real.announce(r);
-      model.announce(r);
-      for (const auto& p : model.peers()) {
-        auto after = model.best_route(p.id, prefix);
-        const bool changed = before[p.id] != after;
-        const bool reported =
-            std::any_of(changes.begin(), changes.end(),
-                        [&p](const RouteServer::BestChange& c) {
-                          return c.participant == p.id;
-                        });
-        ASSERT_EQ(changed, reported)
-            << "step " << step << " peer " << p.id << " " << r.to_string();
-      }
+      check_changes(step, prefix, real.announce(r),
+                    [&] { model.announce(r); });
     } else {
-      real.withdraw(who, prefix);
-      model.withdraw(who, prefix);
+      check_changes(step, prefix, real.withdraw(who, prefix),
+                    [&] { model.withdraw(who, prefix); });
     }
 
     // Spot-check all observables over the touched prefix.

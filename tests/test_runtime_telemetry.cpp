@@ -89,10 +89,20 @@ TEST(RuntimeTelemetry, InstallPlusFastPathSurfacesEverySeries) {
             std::string::npos);
   EXPECT_NE(dump.find("sdx_fast_path_seconds_count 2"), std::string::npos);
 
-  // Frontend: pre-install readvertisements (2 announces × 3 peers),
-  // install's readvertisement (1 prefix × 3) and two fast-path
-  // readvertisements (2 × 3) all crossed the wire.
-  EXPECT_NE(dump.find("sdx_frontend_updates_total 15"), std::string::npos);
+  // Frontend: an UPDATE crosses the wire only when a receiver's
+  // Adj-RIB-Out entry changes.
+  //   B announces 100.1/16: A and C gain B's route; B's own best is
+  //     unchanged (nothing to withdraw)                               2
+  //   C announces 100.1/16 (shorter path): A and B switch to C's route;
+  //     C keeps B's                                                   2
+  //   install(): A's port-80 clause binds 100.1/16 to a VNH, so all
+  //     three next hops change                                        3
+  //   C announces 100.2/16 (fast path): A and B gain it; C has no
+  //     best and held nothing                                         2
+  //   B withdraws 100.1/16 (fast path): a fresh VNH rewrites A's and
+  //     B's next hop, and C loses its only route                      3
+  EXPECT_NE(dump.find("sdx_frontend_updates_total 12"), std::string::npos)
+      << dump;
   EXPECT_GT(rt.telemetry().metrics.counter("sdx_frontend_bytes_total").value(),
             0u);
   EXPECT_NE(dump.find("sdx_frontend_session_drops_total 0"),
