@@ -47,7 +47,8 @@ int main() {
       r.learned_from = who.id;
       r.peer_router_id = net::Ipv4Address(1);
       ixp.server.announce(std::move(r));
-      fast_us.push_back(engine.fast_update(prefix, vnh).seconds * 1e6);
+      fast_us.push_back(engine.fast_update_batch({prefix}, vnh).seconds *
+                        1e6);
     }
     std::sort(fast_us.begin(), fast_us.end());
     std::printf("%zu,%zu,%zu,%.1f,%.1f,%.1f\n", participants,

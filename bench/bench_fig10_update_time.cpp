@@ -8,12 +8,12 @@
 /// (optimized C++ vs Python).
 ///
 /// Three `mode` series per participant count:
-///   per-update      — one restricted compilation per update (the paper's
+///   per-update      — one fast_update_batch pass per update (the paper's
 ///                     setting);
 ///   batched         — updates flushed in batches of 32 through
 ///                     fast_update_batch; the per-update figure is the
 ///                     batch latency amortized over its members;
-///   async-recompile — per-update latency of the inline fast path while a
+///   async-recompile — per-update latency of one-prefix passes while a
 ///                     full optimal recompilation of a snapshot runs
 ///                     concurrently on a pool worker (the §4.3.2 background
 ///                     stage actually in the background).
@@ -99,7 +99,7 @@ int main() {
     times_ms.reserve(static_cast<std::size_t>(kUpdates));
     for (int i = 0; i < kUpdates; ++i) {
       const auto prefix = announce_update(i);
-      auto result = engine.fast_update(prefix, vnh);
+      auto result = engine.fast_update_batch({prefix}, vnh);
       fast_seconds.observe(result.seconds);
       fast_rules.inc(result.additional_rules);
       times_ms.push_back(result.seconds * 1e3);
@@ -128,7 +128,7 @@ int main() {
     print_percentiles(participants, "batched", std::move(times_ms));
     engine.full_recompile(vnh);
 
-    // --- async-recompile: inline fast path racing a background compile ----
+    // --- async-recompile: one-prefix passes racing a background compile ----
     // Snapshot the compiler inputs (as SdxRuntime::start_background_
     // recompile does) and run the full pipeline on a pool worker while the
     // control loop keeps absorbing updates through the fast path.
@@ -146,7 +146,7 @@ int main() {
     times_ms.clear();
     for (int i = 0; i < kUpdates; ++i) {
       const auto prefix = announce_update(i);
-      auto result = engine.fast_update(prefix, vnh);
+      auto result = engine.fast_update_batch({prefix}, vnh);
       fast_seconds.observe(result.seconds);
       fast_rules.inc(result.additional_rules);
       times_ms.push_back(result.seconds * 1e3);

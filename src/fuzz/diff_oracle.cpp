@@ -220,10 +220,12 @@ OracleVerdict compare_fibs(SdxRuntime& rt, const Trace& t,
 }
 
 /// Equivalence (h) for one runtime configuration: the first half of the
-/// trace runs before install(), the rest after it. Batched, an op with an
-/// odd variant is followed by a flush; FIBs are compared whenever no
-/// update is pending. Steers do not force a full recompile, so the
-/// partitioned runtime exercises in-place partition recompiles.
+/// trace runs before install(), the rest after it. Batched (explicit
+/// flushes only), an op with an odd variant is followed by a flush;
+/// otherwise the default trigger flushes every update alone. FIBs are
+/// compared whenever no update is pending. Steers do not force a full
+/// recompile, so the partitioned runtime exercises in-place partition
+/// recompiles.
 OracleVerdict check_readvertise(const Trace& t, bool partitioned,
                                 bool batched, OracleOptions::Fault fault) {
   SdxRuntime rt(bgp::DecisionConfig{},
@@ -231,7 +233,7 @@ OracleVerdict check_readvertise(const Trace& t, bool partitioned,
   populate_base(rt, t, fault, /*first_ports=*/2);
   const std::string mode =
       std::string(partitioned ? "partitioned" : "pairwise") +
-      (batched ? " batched" : " inline");
+      (batched ? " batched" : " per-update");
   const std::size_t split = t.ops.size() / 2;
   for (std::size_t i = 0; i <= t.ops.size(); ++i) {
     if (i == split) {

@@ -39,10 +39,11 @@
 ///                     prefix only to the receivers whose best route
 ///                     changed, and every FIB write is in place and
 ///                     change-only. At every quiescent point — before
-///                     and after install, batched and inline, pairwise and
-///                     partitioned, with a multi-port participant — every
-///                     border-router FIB must be byte-equal to a reference
-///                     router fed every prefix by a full re-advertisement.
+///                     and after install, batched and per-update,
+///                     pairwise and partitioned, with a multi-port
+///                     participant — every border-router FIB must be
+///                     byte-equal to a reference router fed every prefix
+///                     by a full re-advertisement.
 ///
 /// A failing trace is shrunk by a delta-debugging minimizer and written as
 /// a ready-to-commit regression input under fuzz/corpus/regressions/, so a

@@ -2,14 +2,16 @@
 
 /// \file pipeline.hpp
 /// The assembled ingest subsystem: reactor + TCP listener + spill queue
-/// wired into an SdxRuntime's batched fast path, with the threading model
-/// the design demands —
+/// wired into an SdxRuntime's fast path, with the threading model the
+/// design demands —
 ///
 ///   * the reactor thread owns every socket (accept, framing, FSMs,
 ///     backpressure shedding);
 ///   * the control thread calls drain(): DRR-drains the queue, applies
-///     announce()/withdraw() through the runtime, flush()es the batch and
-///     observes the ingest→install latency of every update it landed;
+///     announce()/withdraw() through the runtime, flush()es whatever the
+///     runtime's flush trigger left dirty (so every drained update is
+///     installed when drain() returns) and observes the ingest→install
+///     latency of every update it landed;
 ///   * MRT replay threads push into the same queue via MrtReplaySource.
 ///
 /// Backpressure closes the loop across threads: the queue's space

@@ -6,19 +6,17 @@
 /// When a BGP update changes the best path for a prefix p, the fast stage
 /// "bypasses the actual computation of the VNH entirely by simply assuming
 /// a new VNH is needed" and "restricts compilation to the parts of the
-/// policy related to p": it allocates a fresh (VNH, VMAC), synthesizes only
-/// the clause and default rules for p, composes them through the memoized
-/// stage-2 classifiers and hands them back for installation at a higher
-/// priority. The optimal recompilation (compute the true minimum disjoint
-/// sets, rebuild the whole table) runs in the background between update
-/// bursts — full_recompile(), or adopt() when the pipeline ran off-thread.
-///
-/// fast_update_batch() is the burst-amortized variant: one pass over a set
-/// of dirty prefixes that shares the clause scan, groups prefixes with
-/// identical restricted signatures (a mini-FEC over the dirty set) under
-/// one fresh binding, allocates VNHs in a single sweep, and composes the
-/// combined rule list through the shared stage-2 memo in one walk — so an
-/// N-update burst costs one composition walk, not N.
+/// policy related to p". fast_update_batch() is that stage, for one prefix
+/// or a burst of them: one pass over the dirty prefixes shares the clause
+/// scan, groups prefixes with identical restricted signatures (a mini-FEC
+/// over the dirty set) under one fresh (VNH, VMAC) each, synthesizes only
+/// their clause and default rules, and composes them through the memoized
+/// stage-2 classifiers for installation at a higher priority. A batch of
+/// one is the paper's per-update setting; an N-update burst costs one
+/// composition walk, not N. The optimal recompilation (compute the true
+/// minimum disjoint sets, rebuild the whole table) runs in the background
+/// between update bursts — full_recompile(), or adopt() when the pipeline
+/// ran off-thread.
 
 #include <optional>
 #include <vector>
@@ -57,24 +55,7 @@ class IncrementalEngine {
   const CompiledSdx& current() const { return *current_; }
   CompiledSdx& current() { return *current_; }
 
-  struct FastPathResult {
-    Ipv4Prefix prefix;
-    /// Fresh binding for the prefix; nullopt when no policy touches it (the
-    /// update then only needs a plain re-advertisement, no new rules).
-    std::optional<VnhBinding> binding;
-    /// High-priority rules for the affected prefix, already composed
-    /// through stage 2.
-    std::vector<policy::Rule> rules;
-    std::size_t additional_rules = 0;
-    /// Stage-1 rules pushed through a stage-2 pull_back walk.
-    std::size_t compositions = 0;
-    double seconds = 0;
-  };
-
-  /// The fast stage for one updated prefix.
-  FastPathResult fast_update(Ipv4Prefix prefix, VnhAllocator& vnh);
-
-  /// One dirty prefix of a batched flush. Prefixes whose restricted
+  /// One dirty prefix of a fast pass. Prefixes whose restricted
   /// signatures coincide share a binding (and their rules were emitted
   /// once); `additional_rules` attributes the group's rule count to its
   /// first member so the per-item counts sum to the batch total.
@@ -93,8 +74,8 @@ class IncrementalEngine {
     double seconds = 0;
   };
 
-  /// The fast stage for a burst: one restricted-compilation pass over every
-  /// prefix in \p prefixes (duplicates collapse to their first occurrence).
+  /// The fast stage: one restricted-compilation pass over every prefix in
+  /// \p prefixes (duplicates collapse to their first occurrence).
   BatchResult fast_update_batch(const std::vector<Ipv4Prefix>& prefixes,
                                 VnhAllocator& vnh);
 

@@ -205,8 +205,14 @@ Participant* SdxRuntime::find(const std::string& name) {
 
 void SdxRuntime::set_outbound(ParticipantId id,
                               std::vector<OutboundClause> clauses) {
-  participant(id).outbound = std::move(clauses);
-  validate_participant(participant(id), participants_);
+  // Validate a candidate holding only the new clauses (the stored inbound
+  // ones passed already), so a rejected policy is never stored.
+  Participant& p = participant(id);
+  Participant candidate{.id = p.id, .name = p.name, .asn = p.asn,
+                        .ports = p.ports, .outbound = std::move(clauses),
+                        .inbound = {}};
+  validate_participant(candidate, participants_);
+  p.outbound = std::move(candidate.outbound);
   ++policy_epoch_;
   if (journal_recording_) {
     persist::WalRecord rec;
@@ -226,8 +232,12 @@ void SdxRuntime::set_outbound(ParticipantId id,
 
 void SdxRuntime::set_inbound(ParticipantId id,
                              std::vector<InboundClause> clauses) {
-  participant(id).inbound = std::move(clauses);
-  validate_participant(participant(id), participants_);
+  Participant& p = participant(id);
+  Participant candidate{.id = p.id, .name = p.name, .asn = p.asn,
+                        .ports = p.ports, .outbound = {},
+                        .inbound = std::move(clauses)};
+  validate_participant(candidate, participants_);
+  p.inbound = std::move(candidate.inbound);
   ++policy_epoch_;
   if (journal_recording_) {
     persist::WalRecord rec;
@@ -632,8 +642,7 @@ std::vector<ParticipantId> SdxRuntime::advance_clock(double seconds) {
     // its routes and drop its policies rather than advertising stale state.
     for (auto id : dropped) session_down(id);
   }
-  if (batching_ && !dirty_order_.empty() &&
-      batch_options_.max_delay_seconds > 0) {
+  if (!dirty_order_.empty() && batch_options_.max_delay_seconds > 0) {
     pending_clock_ += seconds;
     if (pending_clock_ >= batch_options_.max_delay_seconds) flush();
   }
@@ -641,17 +650,11 @@ std::vector<ParticipantId> SdxRuntime::advance_clock(double seconds) {
 }
 
 void SdxRuntime::enable_batching(BatchOptions options) {
-  batching_ = true;
   batch_options_ = options;
   if (batch_options_.max_pending != 0 &&
       dirty_order_.size() >= batch_options_.max_pending) {
     flush();
   }
-}
-
-void SdxRuntime::disable_batching() {
-  flush();
-  batching_ = false;
 }
 
 std::size_t SdxRuntime::flush() {
@@ -789,44 +792,20 @@ void SdxRuntime::note_update(
   }
   // Raced-delta bookkeeping first: while an asynchronous recompile flies,
   // every touched prefix must be re-applied on top of its result, whether
-  // the update runs inline or waits in a batch.
+  // its flush runs now or later.
   if (job_ && raced_set_.insert(prefix).second) {
     raced_order_.push_back(prefix);
   }
-  if (batching_) {
-    if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
-    if (batch_options_.max_pending != 0 &&
-        dirty_order_.size() >= batch_options_.max_pending) {
-      flush();
-    }
-    return;
+  if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
+  if (batch_options_.max_pending != 0 &&
+      dirty_order_.size() >= batch_options_.max_pending) {
+    flush();
   }
-  handle_post_install_update(prefix);
-}
-
-void SdxRuntime::handle_post_install_update(Ipv4Prefix prefix) {
-  telemetry::Span span = telemetry_.tracer.span("fast_update");
-  auto result = engine_->fast_update(prefix, vnh_);
-  fast_updates_->inc();
-  fast_rules_->inc(result.additional_rules);
-  fast_compositions_->inc(result.compositions);
-  fast_seconds_->observe(result.seconds);
-  if (result.binding) {
-    fast_bindings_[prefix] = *result.binding;
-    fabric_.arp().bind(result.binding->vnh, result.binding->vmac);
-    auto& table = fabric_.sdx_switch().table();
-    policy::Classifier extra(std::move(result.rules));
-    table.install_classifier(extra, kFastPriority, next_cookie_++);
-  }
-  readvertise(prefix);
-  log_update(UpdateReport{prefix, result.additional_rules, result.seconds});
-  const std::vector<Ipv4Prefix> dirty{prefix};
-  run_safety_stage(&dirty);
 }
 
 void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
   if (prefixes.empty()) return;
-  telemetry::Span span = telemetry_.tracer.span("fast_update_batch");
+  telemetry::Span span = telemetry_.tracer.span("fast_update");
   auto batch = engine_->fast_update_batch(prefixes, vnh_);
   fast_updates_->inc(batch.items.size());
   fast_rules_->inc(batch.additional_rules);
@@ -892,7 +871,7 @@ std::uint64_t SdxRuntime::checkpoint() {
   telemetry::Span span = telemetry_.tracer.span("checkpoint");
   // Flush any pending batch first: a checkpoint must capture an
   // externally-consistent state, not one with updates parked in a queue.
-  if (batching_) flush();
+  flush();
   persist::CheckpointState st;
   st.participants = participants_;
   st.routes = server_.dump_routes();
@@ -1061,16 +1040,14 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
     report.checkpoint_lsn = journal->checkpoint()->lsn;
     restore_checkpoint(*journal->checkpoint(), report);
   }
-  // Replay the tail. Once the replayed timeline passes install(), updates
-  // run through the batched fast path — one coalesced pass instead of one
-  // restricted compilation per record.
-  bool batched = false;
+  // Replay the tail under explicit flushes only: once the replayed timeline
+  // passes install(), its updates collect in the dirty set and run through
+  // one coalesced fast pass instead of one restricted compilation per
+  // record. The caller's flush trigger applies again from here on.
+  const BatchOptions trigger = batch_options_;
+  batch_options_ = BatchOptions{.max_pending = 0, .max_delay_seconds = 0};
   bool policy_replayed = false;
   for (const auto& rec : journal->tail()) {
-    if (!batched && installed()) {
-      enable_batching(BatchOptions{0, 0});
-      batched = true;
-    }
     if (installed() &&
         (rec.type == persist::WalRecordType::kSetOutbound ||
          rec.type == persist::WalRecordType::kSetInbound)) {
@@ -1079,7 +1056,8 @@ SdxRuntime::RecoveryReport SdxRuntime::recover(
     replay_record(rec);
     ++report.replayed;
   }
-  if (batched) disable_batching();
+  batch_options_ = trigger;
+  flush();
   // Pairwise mode defers a post-install policy change to the next recompile,
   // and the recompile the live runtime eventually ran is not a WAL record —
   // replay would otherwise resurrect the stale tables. One coalesced rebuild

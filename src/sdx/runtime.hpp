@@ -10,13 +10,17 @@
 ///      server);
 ///   3. install() — full compilation, flow-rule installation, ARP/VNH
 ///      bindings and BGP re-advertisement to every participant router;
-///   4. further announce()/withdraw() calls run the §4.3.2 fast path
-///      automatically (higher-priority rules + re-advertisement), logging
-///      per-update cost. With enable_batching() they enqueue instead and a
-///      flush() (explicit, size- or clock-triggered) amortizes the burst;
-///      background_recompile() coalesces synchronously, while
-///      start_background_recompile() runs the optimal pipeline off-thread
-///      against a versioned snapshot and swaps the result in atomically.
+///   4. further announce()/withdraw() calls mark their prefix dirty, and a
+///      flush() runs the §4.3.2 fast path over the dirty set in one pass
+///      (higher-priority rules + re-advertisement), logging per-update
+///      cost. The flush trigger starts at {max_pending = 1, max_delay = 0}:
+///      each update is flushed alone and is visible when announce()
+///      returns, the paper's per-update setting. enable_batching() sets a
+///      larger trigger (size, clock, or explicit flush() only) so one pass
+///      amortizes a burst; background_recompile() coalesces synchronously,
+///      while start_background_recompile() runs the optimal pipeline
+///      off-thread against a versioned snapshot and swaps the result in
+///      atomically.
 ///   5. send() pushes packets through the emulated data plane end to end.
 
 #include <array>
@@ -81,8 +85,8 @@ class SdxRuntime {
   /// participant's own ASN (an originated route); longer paths model
   /// transit; communities drive the route server's export policy (RFC 1997
   /// NO_EXPORT/NO_ADVERTISE, "0:<asn>" per-peer blocking). After install(),
-  /// the fast path runs (or the prefix is enqueued under batching) and the
-  /// report is logged.
+  /// the prefix joins the dirty set and runs through the fast path when the
+  /// flush trigger fires (at once under the default trigger).
   void announce(ParticipantId from, Ipv4Prefix prefix,
                 std::optional<net::AsPath> path = std::nullopt,
                 std::vector<bgp::Community> communities = {});
@@ -192,8 +196,11 @@ class SdxRuntime {
   void set_compile_threads(unsigned threads);
   const CompileOptions& compile_options() const { return options_; }
 
-  // --- burst batching (§4.3.2 "between update bursts") ----------------------
+  // --- dirty set and flush trigger (§4.3.2 "between update bursts") ---------
 
+  /// The flush trigger. A runtime starts at {1, 0} (every update flushed
+  /// alone); the member defaults are the burst setting of the no-argument
+  /// enable_batching().
   struct BatchOptions {
     /// Auto-flush once this many distinct prefixes are dirty (0 = only
     /// explicit or clock-triggered flushes).
@@ -203,25 +210,23 @@ class SdxRuntime {
     double max_delay_seconds = 0.05;
   };
 
-  /// Switches announce()/withdraw() after install() from inline fast-path
-  /// compilation to enqueueing: a burst of N updates then costs one batched
-  /// pass (shared clause scan and stage-2 memo, one VNH sweep, one
-  /// composition walk, de-duplicated installation) instead of N restricted
-  /// compilations. Updates are *visible* only after the flush.
+  /// Sets the flush trigger. With a trigger above one, a burst of N
+  /// updates costs one fast pass (shared clause scan and stage-2 memo, one
+  /// VNH sweep, one composition walk, de-duplicated installation) instead
+  /// of N; updates are *visible* only after the flush. Flushes at once if
+  /// the dirty set already reaches the new size trigger, so {1, 0} applies
+  /// anything pending and returns to per-update flushing.
   void enable_batching(BatchOptions options);
+  /// Sets the burst trigger {64, 0.05}.
   void enable_batching() { enable_batching(BatchOptions{}); }
 
-  /// Flushes any pending updates, then returns to inline fast-path mode.
-  void disable_batching();
-
-  bool batching() const { return batching_; }
   const BatchOptions& batch_options() const { return batch_options_; }
 
   /// Distinct prefixes waiting for the next flush.
   std::size_t pending_updates() const { return dirty_order_.size(); }
 
-  /// Runs one batched fast-path pass over the dirty set: rules install at
-  /// high priority under one cookie, each prefix re-advertises once.
+  /// Runs one fast pass over the dirty set: rules install at high priority
+  /// under one cookie, each prefix re-advertises once.
   /// Returns the number of prefixes flushed (0 when idle).
   std::size_t flush();
 
@@ -276,11 +281,12 @@ class SdxRuntime {
   };
 
   /// Rebuilds this (fresh) runtime from the journal at \p dir: loads the
-  /// newest valid checkpoint, replays the WAL tail through the batched fast
-  /// path, and resumes recording. When the restored tables' fingerprint
-  /// matches the checkpointed one the restart is *warm*: the compiled state
-  /// is adopted without recompiling and every persisted VNH→VMAC binding is
-  /// reused, so border-router ARP caches stay valid. Throws
+  /// newest valid checkpoint, replays the WAL tail through one coalesced
+  /// fast pass, and resumes recording under the caller's flush trigger.
+  /// When the restored tables' fingerprint matches the checkpointed one the
+  /// restart is *warm*: the compiled state is adopted without recompiling
+  /// and every persisted VNH→VMAC binding is reused, so border-router ARP
+  /// caches stay valid. Throws
   /// std::logic_error on a non-fresh runtime, std::runtime_error when the
   /// directory holds neither a checkpoint nor a complete (genesis) WAL.
   RecoveryReport recover(const std::string& dir,
@@ -290,9 +296,8 @@ class SdxRuntime {
 
   /// The runtime's measurement plane. Every layer reports here: route
   /// server (RIB size, churn), compiler (per-stage spans + histograms),
-  /// §4.3.2 fast path (inline and batched), background-recompile swaps,
-  /// BGP frontend (updates, bytes, session drops), ARP responder and
-  /// fabric flow table.
+  /// §4.3.2 fast path, background-recompile swaps, BGP frontend (updates,
+  /// bytes, session drops), ARP responder and fabric flow table.
   telemetry::Telemetry& telemetry() { return telemetry_; }
   const telemetry::Telemetry& telemetry() const { return telemetry_; }
 
@@ -346,9 +351,8 @@ class SdxRuntime {
 
   /// Turns on the safety stage: a full check after every deploy (install,
   /// synchronous or asynchronous recompile) and an incremental re-check of
-  /// only the dirty prefixes after inline fast-path updates, batched
-  /// flushes and partition recompiles. Results land in
-  /// last_safety_report() and telemetry (`sdx_verify_seconds`,
+  /// only the dirty prefixes after each flush and partition recompile.
+  /// Results land in last_safety_report() and telemetry (`sdx_verify_seconds`,
   /// `sdx_verify_violations_total{kind=...}`, ...). Runs immediately when
   /// already installed.
   void enable_verification(verify::SafetyChecker::Options options = {});
@@ -430,13 +434,11 @@ class SdxRuntime {
   void bind_arp(const CompiledSdx& compiled);
   /// Routes one route-server update. Before install(): re-advertisement
   /// to the receivers whose best route \p changes altered. After it:
-  /// raced-delta tracking, then either the inline fast path or the dirty
-  /// queue (batching).
+  /// raced-delta tracking, then the dirty set (flushed by the trigger).
   void note_update(Ipv4Prefix prefix,
                    const std::vector<bgp::RouteServer::BestChange>& changes);
-  void handle_post_install_update(Ipv4Prefix prefix);
-  /// One batched fast pass over \p prefixes: compile, install, re-advertise,
-  /// log. Shared by flush() and the post-swap raced-delta re-application.
+  /// One fast pass over \p prefixes: compile, install, re-advertise, log.
+  /// Shared by flush() and the post-swap raced-delta re-application.
   void install_batch(const std::vector<Ipv4Prefix>& prefixes);
   /// Applies a finished, non-stale job on the control thread: swap tables,
   /// drop superseded fast rules, re-apply raced deltas, re-advertise.
@@ -508,9 +510,8 @@ class SdxRuntime {
   /// toward prefixes only a remote participant announces.
   std::unordered_map<ParticipantId, VnhBinding> remote_bindings_;
 
-  // Burst batching state (control thread only).
-  bool batching_ = false;
-  BatchOptions batch_options_;
+  // Dirty-set state (control thread only).
+  BatchOptions batch_options_{.max_pending = 1, .max_delay_seconds = 0};
   std::vector<Ipv4Prefix> dirty_order_;  ///< arrival order, deduplicated
   std::unordered_set<Ipv4Prefix> dirty_set_;
   double pending_clock_ = 0;  ///< advance_clock() time since first dirty

@@ -1,6 +1,6 @@
 /// Burst batching and asynchronous background recompilation (the §4.3.2
 /// pipeline made concurrent): flush triggers and equivalence with the
-/// inline fast path, composition-sharing across a batch (counter-
+/// per-update {1, 0} trigger, composition-sharing across a batch (counter-
 /// verified), the raced-delta swap protocol, policy-staleness restarts,
 /// the bounded update log, and the thread-pool task API underneath.
 
@@ -92,13 +92,15 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
   const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
 
-  // Inline baseline: each update is its own restricted compilation.
-  const auto inline_before = counter(rt, "sdx_fast_path_compositions_total");
+  // Per-update baseline (the default {1, 0} trigger): each update is its
+  // own restricted compilation.
+  const auto per_update_before =
+      counter(rt, "sdx_fast_path_compositions_total");
   rt.announce(b, p1, net::AsPath{65002, 7});
   rt.announce(b, p2, net::AsPath{65002, 7});
-  const auto inline_cost =
-      counter(rt, "sdx_fast_path_compositions_total") - inline_before;
-  ASSERT_GT(inline_cost, 0u);
+  const auto per_update_cost =
+      counter(rt, "sdx_fast_path_compositions_total") - per_update_before;
+  ASSERT_GT(per_update_cost, 0u);
 
   // The identical burst, batched. p1 and p2 share their restricted
   // signature (same clause hits, same default vector), so the mini-FEC
@@ -106,15 +108,20 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   rt.background_recompile();
   rt.enable_batching({0, 0});
   const auto batched_before = counter(rt, "sdx_fast_path_compositions_total");
+  const auto flushes_before = counter(rt, "sdx_fast_path_batches_total");
+  const auto flushed_before =
+      counter(rt, "sdx_fast_path_batched_updates_total");
   rt.announce(b, p1, net::AsPath{65002, 7});
   rt.announce(b, p2, net::AsPath{65002, 7});
   EXPECT_EQ(rt.flush(), 2u);
   const auto batched_cost =
       counter(rt, "sdx_fast_path_compositions_total") - batched_before;
-  EXPECT_LT(batched_cost, inline_cost);
-  EXPECT_EQ(batched_cost * 2, inline_cost);  // exactly one shared walk
-  EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total"), 1u);
-  EXPECT_EQ(counter(rt, "sdx_fast_path_batched_updates_total"), 2u);
+  EXPECT_LT(batched_cost, per_update_cost);
+  EXPECT_EQ(batched_cost * 2, per_update_cost);  // exactly one shared walk
+  EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total") - flushes_before, 1u);
+  EXPECT_EQ(
+      counter(rt, "sdx_fast_path_batched_updates_total") - flushed_before,
+      2u);
 
   // Shared signature ⇒ shared binding.
   ASSERT_TRUE(rt.current_binding(p1).has_value());
@@ -144,17 +151,30 @@ TEST_F(AsyncUpdatesFixture, ClockTriggeredFlush) {
   EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total"), 1u);
 }
 
-TEST_F(AsyncUpdatesFixture, DisableBatchingFlushesAndReturnsInline) {
+TEST_F(AsyncUpdatesFixture, PerUpdateTriggerFlushesAndAppliesOnReturn) {
   rt.enable_batching({0, 0});
   rt.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
   EXPECT_EQ(rt.pending_updates(), 1u);
-  rt.disable_batching();
-  EXPECT_FALSE(rt.batching());
+  rt.enable_batching({1, 0});
+  EXPECT_EQ(rt.batch_options().max_pending, 1u);
   EXPECT_EQ(rt.pending_updates(), 0u);
-  // Subsequent updates run inline again.
+  EXPECT_EQ(egress(rt, a, "100.1.1.1", 53), rt.participant(c).ports[0].id);
+  // Later updates are flushed alone and visible when announce() returns.
   rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
   EXPECT_EQ(rt.pending_updates(), 0u);
   EXPECT_EQ(egress(rt, a, "100.2.1.1", 53), rt.participant(c).ports[0].id);
+}
+
+TEST_F(AsyncUpdatesFixture, RuntimeStartsAtThePerUpdateTrigger) {
+  SdxRuntime fresh;
+  EXPECT_EQ(fresh.batch_options().max_pending, 1u);
+  EXPECT_EQ(fresh.batch_options().max_delay_seconds, 0.0);
+  // The fixture's runtime never set a trigger: each update is one flush.
+  rt.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
+  rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
+  EXPECT_EQ(rt.pending_updates(), 0u);
+  EXPECT_EQ(counter(rt, "sdx_fast_path_batches_total"), 2u);
+  EXPECT_EQ(counter(rt, "sdx_fast_path_batched_updates_total"), 2u);
 }
 
 TEST_F(AsyncUpdatesFixture, SessionDownPurgesPendingBatch) {
@@ -300,7 +320,7 @@ TEST_F(AsyncUpdatesFixture, ZeroCapacityLogNeverAdmitsAnEntry) {
   rt.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
   EXPECT_EQ(rt.flush(), 1u);
   EXPECT_TRUE(rt.update_log().empty());
-  rt.disable_batching();
+  rt.enable_batching({1, 0});
 
   // Re-enabling restores logging from the next update on.
   rt.set_update_log_capacity(2);

@@ -270,7 +270,7 @@ TEST(BgpFrontendTest, ReannounceThatChangesNoBestRouteSendsNoUpdates) {
   // changes. Re-announcements that move nobody's best route — C repeating
   // its route, D offering a longer path than every receiver already
   // prefers — change none: zero UPDATEs and unchanged FIBs, before
-  // install(), after it through a batched flush, and on the inline path.
+  // install(), after it through a batched flush, and flushed per update.
   // (No policy and no VMAC grouping, so the fast path binds no VNH.)
   CompileOptions options;
   options.vmac_grouping = false;
@@ -316,7 +316,7 @@ TEST(BgpFrontendTest, ReannounceThatChangesNoBestRouteSendsNoUpdates) {
   EXPECT_EQ(rt.frontend()->updates_distributed(), sent);
   EXPECT_EQ(fibs(), installed);
 
-  rt.disable_batching();
+  rt.enable_batching({1, 0});
   reannounce();
   EXPECT_EQ(rt.frontend()->updates_distributed(), sent);
   EXPECT_EQ(fibs(), installed);

@@ -202,6 +202,31 @@ TEST_F(RecoveryFixture, CheckpointPlusTailReplaysThroughBatchedFastPath) {
   EXPECT_EQ(rt2.compiled().fingerprint(), golden.compiled().fingerprint());
 }
 
+TEST_F(RecoveryFixture, RecoverKeepsTheCallersFlushTrigger) {
+  TempDir dir;
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  std::vector<net::PortId> expected;
+  {
+    SdxRuntime rt;
+    build(rt);
+    rt.attach_journal(dir.path);
+    rt.announce(c, p1, net::AsPath{65003});
+    expected = probes(rt);
+  }
+  SdxRuntime rt2;
+  rt2.enable_batching({8, 0});
+  const auto report = rt2.recover(dir.path);
+  EXPECT_EQ(report.replayed, 1u);
+  // The replayed tail is flushed, and the trigger set before recover()
+  // still holds afterwards.
+  EXPECT_EQ(rt2.pending_updates(), 0u);
+  EXPECT_EQ(probes(rt2), expected);
+  EXPECT_EQ(rt2.batch_options().max_pending, 8u);
+  EXPECT_EQ(rt2.batch_options().max_delay_seconds, 0.0);
+  rt2.announce(c, Ipv4Prefix::parse("100.2.0.0/16"), net::AsPath{65003});
+  EXPECT_EQ(rt2.pending_updates(), 1u);
+}
+
 // --- forced cold fallback ---------------------------------------------------
 
 TEST_F(RecoveryFixture, FingerprintMismatchFallsBackToColdInstall) {

@@ -65,6 +65,42 @@ TEST(RuntimeLifecycle, ReinstallAfterPolicyChangeIsConsistent) {
   EXPECT_EQ(rt.send(a, web)[0].port, rt.participant(c).ports[0].id);
 }
 
+TEST(RuntimeLifecycle, RejectedPoliciesAreNotStored) {
+  SdxRuntime rt;
+  auto a = rt.add_participant("A", 65001);
+  auto b = rt.add_participant("B", 65002, 2);
+  auto c = rt.add_participant("C", 65003);
+  const OutboundClause web_to_b{ClauseMatch{}.dst_port(80), b};
+  const InboundClause web_to_second{ClauseMatch{}.dst_port(80), {}, 1};
+  rt.set_outbound(a, {web_to_b});
+  rt.set_inbound(b, {web_to_second});
+
+  // Unknown target, self-forwarding, missing port: each is rejected and the
+  // stored policy is the last accepted one.
+  EXPECT_THROW(rt.set_outbound(a, {OutboundClause{ClauseMatch{}, 99}}),
+               std::invalid_argument);
+  EXPECT_THROW(rt.set_outbound(a, {OutboundClause{ClauseMatch{}, a}}),
+               std::invalid_argument);
+  EXPECT_EQ(rt.participant(a).outbound,
+            std::vector<OutboundClause>{web_to_b});
+  EXPECT_THROW(rt.set_inbound(b, {InboundClause{ClauseMatch{}, {}, 5}}),
+               std::invalid_argument);
+  EXPECT_EQ(rt.participant(b).inbound,
+            std::vector<InboundClause>{web_to_second});
+
+  // A rejected policy must not poison later installs or recompiles.
+  rt.announce(b, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65002, 9});
+  rt.announce(c, Ipv4Prefix::parse("100.1.0.0/16"), net::AsPath{65003});
+  EXPECT_NO_THROW(rt.install());
+  EXPECT_THROW(rt.set_outbound(a, {OutboundClause{ClauseMatch{}, a}}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(rt.background_recompile());
+  auto web = PacketBuilder().dst_ip("100.1.1.1").dst_port(80).build();
+  auto out = rt.send(a, web);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].port, rt.participant(b).ports[1].id);
+}
+
 TEST(RuntimeLifecycle, AnnouncementsBeforeInstallStillPopulateFibs) {
   SdxRuntime rt;
   auto a = rt.add_participant("A", 65001);
