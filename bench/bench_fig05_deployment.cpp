@@ -114,9 +114,9 @@ bool fig5b() {
   const auto A = sdx.add_participant("A", 65001);
   const auto B = sdx.add_participant("B", 65002);
   const auto T = sdx.add_remote_participant("aws-tenant", 65010);
-  (void)B;
+  // Instance 1 answers at the anycast address itself; the policy rewrites
+  // part of the traffic to instance 2's unicast address.
   const auto anycast = net::Ipv4Address::parse("74.125.1.1");
-  const auto i1 = net::Ipv4Address::parse("74.125.224.161");
   const auto i2 = net::Ipv4Address::parse("74.125.137.139");
   sdx.announce(B, net::Ipv4Prefix::parse("74.125.0.0/16"),
                net::AsPath{65002, 16509});
@@ -128,6 +128,8 @@ bool fig5b() {
   std::printf("time_s,instance1_mbps,instance2_mbps\n");
   bool policy = false;
   double pre_1 = -1, post_1 = -1, post_2 = -1;
+  const net::PortId b_port = sdx.participant(B).ports[0].id;
+  int strays = 0;  // deliveries reaching neither instance through B
   for (double t = 0; t < 600; t += 30) {
     if (!policy && t >= 246) {
       sdx.set_inbound(
@@ -148,8 +150,15 @@ bool fig5b() {
                                .proto(net::kProtoTcp)
                                .dst_port(80)
                                .build());
-      if (d.empty()) continue;
-      (d[0].frame.dst_ip() == i2 ? to_2 : to_1) += 1.5;
+      if (d.size() != 1 || d[0].port != b_port) {
+        ++strays;
+      } else if (d[0].frame.dst_ip() == i2) {
+        to_2 += 1.5;
+      } else if (d[0].frame.dst_ip() == anycast) {
+        to_1 += 1.5;
+      } else {
+        ++strays;
+      }
     }
     std::printf("%.0f,%.1f,%.1f\n", t, to_1, to_2);
     if (t < 246) pre_1 = to_1;
@@ -158,11 +167,14 @@ bool fig5b() {
       post_2 = to_2;
     }
   }
-  const bool ok = pre_1 == 3.0 && post_1 == 1.5 && post_2 == 1.5;
+  const bool ok =
+      pre_1 == 3.0 && post_1 == 1.5 && post_2 == 1.5 && strays == 0;
   std::printf("# shape: pre-policy all to instance 1 (%s), post-policy "
-              "split 1.5/1.5 (%s)\n",
+              "split 1.5/1.5 (%s), %d deliveries to neither instance via B "
+              "(%s)\n",
               pre_1 == 3.0 ? "ok" : "FAIL",
-              post_1 == 1.5 && post_2 == 1.5 ? "ok" : "FAIL");
+              post_1 == 1.5 && post_2 == 1.5 ? "ok" : "FAIL", strays,
+              strays == 0 ? "ok" : "FAIL");
   return ok;
 }
 

@@ -4,9 +4,12 @@
 ///
 /// Worst-case scenario as in the paper: every update in the burst changes
 /// the best path of a distinct policy-covered prefix, so each one gets a
-/// fresh VNH and its own restricted recompilation. Paper result: additional
-/// rules grow linearly with burst size, steeper with more participants
-/// (~2.5k rules for a 100-update burst at 300 participants).
+/// fresh VNH and its own restricted recompilation. The engine would
+/// otherwise lend a prefix the binding of a live equal signature, so the
+/// bench drops that memo (forget_bindings()) before every measured pass.
+/// Paper result: additional rules grow linearly with burst size, steeper
+/// with more participants (~2.5k rules for a 100-update burst at 300
+/// participants).
 ///
 /// The `mode` column contrasts two flush sizes over the *same* burst:
 /// `per-update` (one fast_update_batch pass per update, the paper's Figure 9
@@ -78,12 +81,14 @@ int main() {
           updated.push_back(prefix);
         }
         for (auto prefix : updated) {
+          engine.forget_bindings();
           per_update +=
               engine.fast_update_batch({prefix}, vnh).additional_rules;
         }
         // Background pass between bursts (the paper's two-stage design) —
         // also the reset that lets the batched mode replay the same burst.
         engine.full_recompile(vnh);
+        engine.forget_bindings();
         batched += engine.fast_update_batch(updated, vnh).additional_rules;
         engine.full_recompile(vnh);
       }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "persist/checkpoint.hpp"
 #include "persist/crc32c.hpp"
@@ -240,6 +241,9 @@ OracleVerdict check_readvertise(const Trace& t, bool partitioned,
       auto verdict = compare_fibs(rt, t, mode + " before install");
       if (!verdict.ok) return verdict;
       rt.install();
+      if (fault == OracleOptions::Fault::kDropReceiverChangesAfterInstall) {
+        rt.drop_receiver_changes_for_test(1);
+      }
       if (batched) {
         rt.enable_batching({.max_pending = 0, .max_delay_seconds = 0});
       }
@@ -319,6 +323,41 @@ OracleVerdict diff_signatures(const std::vector<std::string>& want,
     return {false, oracle, std::string(sides) + " probe counts differ"};
   }
   return {true, oracle, ""};
+}
+
+/// The binding-reuse half of equivalence (a): pairwise, per-update
+/// flushes, steers not recompiled. The trace runs twice with participant
+/// 1's clause targets swapped in between — a post-install policy change
+/// the fast path reads live — so the second pass re-flushes prefixes whose
+/// signatures the first pass bound. One runtime reuses live signatures'
+/// bindings; the other drops the memo before every op, binding afresh.
+OracleVerdict check_binding_reuse(const Trace& t, OracleOptions::Fault fault) {
+  SdxRuntime reuse;
+  SdxRuntime fresh;
+  build_base(reuse, t);
+  build_base(fresh, t);
+  if (fault == OracleOptions::Fault::kKeepBindingsAcrossPolicyChange) {
+    reuse.keep_bindings_across_policy_changes_for_test();
+  }
+  const auto run = [&t](SdxRuntime& rt, bool forget) {
+    for (const auto& op : t.ops) {
+      if (forget) rt.forget_bindings_for_test();
+      apply_op(rt, t, op, /*recompile_steer=*/false);
+    }
+  };
+  const auto swap_targets = [](SdxRuntime& rt) {
+    auto clauses = rt.participant(1).outbound;
+    if (clauses.size() >= 2) std::swap(clauses[0].to, clauses[1].to);
+    rt.set_outbound(1, std::move(clauses));
+  };
+  for (SdxRuntime* rt : {&reuse, &fresh}) {
+    const bool forget = rt == &fresh;
+    run(*rt, forget);
+    swap_targets(*rt);
+    run(*rt, forget);
+  }
+  return diff_signatures(probe_signature(fresh, t), probe_signature(reuse, t),
+                         "fast-path", "fresh-binding vs reused-binding");
 }
 
 struct ScratchDir {
@@ -486,6 +525,8 @@ OracleVerdict DifferentialOracle::check(const Trace& trace) const {
     auto verdict = diff_signatures(probe_signature(full, trace),
                                    probe_signature(fast, trace), "fast-path",
                                    "full-recompile vs fast-path");
+    if (!verdict.ok) return verdict;
+    verdict = check_binding_reuse(trace, options_.fault);
     if (!verdict.ok) return verdict;
   }
 

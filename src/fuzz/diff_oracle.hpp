@@ -9,7 +9,11 @@
 ///
 ///   (a) fast path   — a batched §4.3.2 fast_update pass over the trace
 ///                     must forward packets exactly like a full optimal
-///                     recompilation of the same state;
+///                     recompilation of the same state; and per-update
+///                     flushes that reuse live signatures' bindings must
+///                     forward exactly like flushes that bind every prefix
+///                     afresh, across a post-install policy change the
+///                     fast path reads live (pairwise, no recompile);
 ///   (b) parallelism — compiling the final state at threads=1 and
 ///                     threads=N must produce byte-identical artifacts
 ///                     (CompiledSdx::fingerprint());
@@ -35,8 +39,9 @@
 ///                     isolation breach, or blackhole), and every
 ///                     counterexample the checker does emit must reproduce
 ///                     when its packet is replayed through the data plane;
-///   (h) re-advertisement — before install, the runtime re-advertises a
-///                     prefix only to the receivers whose best route
+///   (h) re-advertisement — before install, and after it whenever a flush
+///                     keeps a prefix's binding, the runtime re-advertises
+///                     the prefix only to the receivers whose best route
 ///                     changed, and every FIB write is in place and
 ///                     change-only. At every quiescent point — before
 ///                     and after install, batched and per-update,
@@ -141,6 +146,14 @@ struct OracleOptions {
     /// re-advertisements skip its routers — models fan-out bookkeeping
     /// that loses a receiver.
     kDropReceiverChanges,
+    /// kDropReceiverChanges planted at install(): only post-install
+    /// flushes that keep a prefix's binding (and so re-advertise to the
+    /// recorded receivers alone) can lose participant 1.
+    kDropReceiverChangesAfterInstall,
+    /// Policy changes keep the fast path's signature memo, so a flush
+    /// after one can reuse a binding whose rules implement the old
+    /// clauses — models a memo invalidation that misses policy changes.
+    kKeepBindingsAcrossPolicyChange,
   };
   Fault fault = Fault::kNone;
 

@@ -28,13 +28,39 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 const CompiledSdx& IncrementalEngine::full_recompile(VnhAllocator& vnh) {
   current_ = compiler_.compile(vnh);
   stage2_cache_.clear();
+  forget_bindings();
   return *current_;
 }
 
 const CompiledSdx& IncrementalEngine::adopt(CompiledSdx compiled) {
   current_ = std::move(compiled);
   stage2_cache_.clear();
+  forget_bindings();
   return *current_;
+}
+
+void IncrementalEngine::forget_bindings() {
+  held_.clear();
+  memo_.clear();
+}
+
+void IncrementalEngine::hold(Ipv4Prefix prefix, Memo::iterator entry) {
+  auto [it, inserted] = held_.try_emplace(prefix, entry);
+  if (!inserted) {
+    if (it->second == entry) return;
+    const Memo::iterator old = it->second;
+    it->second = entry;
+    if (--old->second.holders == 0) memo_.erase(old);
+  }
+  ++entry->second.holders;
+}
+
+void IncrementalEngine::release(Ipv4Prefix prefix) {
+  auto it = held_.find(prefix);
+  if (it == held_.end()) return;
+  const Memo::iterator entry = it->second;
+  held_.erase(it);
+  if (--entry->second.holders == 0) memo_.erase(entry);
 }
 
 const policy::Classifier& IncrementalEngine::stage2_cached(ParticipantId id) {
@@ -196,6 +222,7 @@ IncrementalEngine::PartitionUpdate IncrementalEngine::recompile_partition(
   current_->partitions[slot] = std::move(part);
   current_->rebuild_fabric();
   current_->stats.final_rules = current_->fabric.size();
+  forget_bindings();
   return update;
 }
 
@@ -216,15 +243,16 @@ IncrementalEngine::BatchResult IncrementalEngine::fast_update_batch(
 
   // Restricted signature per dirty prefix: (clause hit set, default
   // vector). Prefixes with equal signatures behave identically through the
-  // fabric — the §4.2 argument, applied to the dirty set only — so they
-  // share one fresh binding and one synthesized rule group.
+  // fabric — the §4.2 argument, applied to the dirty set only. A live
+  // signature lends its binding (its rules are already installed); new
+  // signatures are grouped so they share one fresh binding and one
+  // synthesized rule group.
   struct Group {
+    SignatureKey key;
     std::vector<Hit> hits;
-    DefaultVector defaults;
     std::vector<std::size_t> members;  ///< item indices
   };
   std::vector<Group> groups;
-  using SignatureKey = std::pair<std::vector<std::uint32_t>, DefaultVector>;
   std::map<SignatureKey, std::size_t> group_of;
   for (std::size_t i = 0; i < result.items.size(); ++i) {
     const Ipv4Prefix prefix = result.items[i].prefix;
@@ -235,29 +263,37 @@ IncrementalEngine::BatchResult IncrementalEngine::fast_update_batch(
                     [](const auto& d) { return d.has_value(); });
     if (hits.empty() &&
         (!any_default || !compiler_.options_.vmac_grouping)) {
+      release(prefix);
       continue;  // re-advertisement only, no binding, no rules
     }
     SignatureKey key;
     key.first.reserve(hits.size());
     for (const auto& h : hits) key.first.push_back(h.id);
-    key.second = defaults;
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{std::move(hits), std::move(defaults), {}});
+    key.second = std::move(defaults);
+    if (auto live = memo_.find(key); live != memo_.end()) {
+      result.items[i].binding = live->second.binding;
+      hold(prefix, live);
+      continue;
     }
+    auto [it, inserted] = group_of.emplace(key, groups.size());
+    if (inserted) groups.push_back(Group{std::move(key), std::move(hits), {}});
     groups[it->second].members.push_back(i);
   }
 
   // Single VNH-allocation sweep, then one synthesis + composition walk per
-  // group (not per update) through the shared stage-2 memo.
+  // new group (not per update) through the shared stage-2 memo.
   result.groups = groups.size();
-  for (const auto& g : groups) {
+  for (auto& g : groups) {
     const VnhBinding binding = vnh.allocate();
     const std::size_t appended = synth_and_compose(
-        g.hits, g.defaults, binding, result.rules, result.compositions);
+        g.hits, g.key.second, binding, result.rules, result.compositions);
+    const auto entry =
+        memo_.emplace(std::move(g.key), MemoEntry{binding, 0}).first;
     for (std::size_t k = 0; k < g.members.size(); ++k) {
-      result.items[g.members[k]].binding = binding;
-      if (k == 0) result.items[g.members[k]].additional_rules = appended;
+      BatchItem& item = result.items[g.members[k]];
+      item.binding = binding;
+      if (k == 0) item.additional_rules = appended;
+      hold(item.prefix, entry);
     }
     result.additional_rules += appended;
   }

@@ -4,21 +4,37 @@
 /// Two-stage incremental recompilation (paper §4.3.2).
 ///
 /// When a BGP update changes the best path for a prefix p, the fast stage
-/// "bypasses the actual computation of the VNH entirely by simply assuming
-/// a new VNH is needed" and "restricts compilation to the parts of the
-/// policy related to p". fast_update_batch() is that stage, for one prefix
-/// or a burst of them: one pass over the dirty prefixes shares the clause
-/// scan, groups prefixes with identical restricted signatures (a mini-FEC
-/// over the dirty set) under one fresh (VNH, VMAC) each, synthesizes only
-/// their clause and default rules, and composes them through the memoized
-/// stage-2 classifiers for installation at a higher priority. A batch of
-/// one is the paper's per-update setting; an N-update burst costs one
-/// composition walk, not N. The optimal recompilation (compute the true
-/// minimum disjoint sets, rebuild the whole table) runs in the background
-/// between update bursts — full_recompile(), or adopt() when the pipeline
-/// ran off-thread.
+/// "restricts compilation to the parts of the policy related to p".
+/// fast_update_batch() is that stage, for one prefix or a burst of them:
+/// one pass over the dirty prefixes shares the clause scan and computes
+/// each prefix's restricted signature (clause hits, default vector).
+///
+/// The paper "bypasses the actual computation of the VNH entirely by
+/// simply assuming a new VNH is needed". Here a signature some prefix
+/// already holds is reused instead: the engine keeps one binding per live
+/// signature, and a dirty prefix whose signature is live takes that
+/// binding — no VNH allocation, no synthesis, no new rules (the
+/// signature's stage-1 rules match only its VMAC, so they serve every
+/// holder). Only new signatures are grouped (a mini-FEC over the dirty
+/// set) under one fresh (VNH, VMAC) each, synthesized, and composed
+/// through the memoized stage-2 classifiers for installation at a higher
+/// priority. A prefix that leaves its signature, or becomes unbound,
+/// releases it; the last holder erases the entry, leaving its rules as
+/// residue until the next recompile. The memo is dropped whenever its
+/// rules or clause ids may stop meaning the same thing: by full_recompile(),
+/// adopt() and recompile_partition(), and by the owner on any policy change
+/// (forget_bindings()).
+///
+/// A batch of one is the paper's per-update setting; an N-update burst
+/// costs at most one composition walk per new signature, not N. The
+/// optimal recompilation (compute the true minimum disjoint sets, rebuild
+/// the whole table) runs in the background between update bursts —
+/// full_recompile(), or adopt() when the pipeline ran off-thread.
 
+#include <map>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sdx/compiler.hpp"
@@ -38,8 +54,14 @@ class IncrementalEngine {
   /// Installs an externally-compiled result as the engine's current state,
   /// exactly as if full_recompile() had produced it — the swap half of the
   /// asynchronous background recompilation's double buffer. Clears the
-  /// stage-2 memo (the policy view may have changed since it was built).
+  /// stage-2 memo (the policy view may have changed since it was built)
+  /// and the signature memo (the rules behind it are gone).
   const CompiledSdx& adopt(CompiledSdx compiled);
+
+  /// Drops the signature memo: the next fast pass binds every signature
+  /// afresh. Call on any policy change (clause ids and clause contents may
+  /// shift), or to measure the paper's "assume a new VNH" worst case.
+  void forget_bindings();
 
   /// Re-sizes the parallel pipeline used by full_recompile() (0 = one
   /// thread per hardware thread). Output is unaffected.
@@ -57,8 +79,9 @@ class IncrementalEngine {
 
   /// One dirty prefix of a fast pass. Prefixes whose restricted
   /// signatures coincide share a binding (and their rules were emitted
-  /// once); `additional_rules` attributes the group's rule count to its
-  /// first member so the per-item counts sum to the batch total.
+  /// once, or earlier for a live signature); `additional_rules` attributes
+  /// a new group's rule count to its first member so the per-item counts
+  /// sum to the batch total.
   struct BatchItem {
     Ipv4Prefix prefix;
     std::optional<VnhBinding> binding;
@@ -69,7 +92,7 @@ class IncrementalEngine {
     std::vector<BatchItem> items;     ///< input order, deduplicated
     std::vector<policy::Rule> rules;  ///< combined, duplicate-free
     std::size_t additional_rules = 0;
-    std::size_t groups = 0;           ///< distinct signatures given a binding
+    std::size_t groups = 0;           ///< new signatures given a binding
     std::size_t compositions = 0;     ///< stage-1 rules composed (whole batch)
     double seconds = 0;
   };
@@ -99,7 +122,7 @@ class IncrementalEngine {
   /// targeted composition through the stage-2 memo. Swaps the partition
   /// into the current state and re-derives the fabric; every other
   /// partition and the shared band are untouched — the ≥10× work saving of
-  /// a single-participant policy change.
+  /// a single-participant policy change. Drops the signature memo.
   PartitionUpdate recompile_partition(ParticipantId owner, VnhAllocator& vnh);
 
   const SdxCompiler& compiler() const { return compiler_; }
@@ -111,8 +134,23 @@ class IncrementalEngine {
     std::uint32_t id;  ///< global clause id (slot-major) — the signature key
   };
 
+  /// (global clause ids of the hits, default vector): prefixes with equal
+  /// signatures behave identically through the fabric.
+  using SignatureKey =
+      std::pair<std::vector<std::uint32_t>, DefaultVector>;
+  /// One live signature: its binding and how many prefixes hold it.
+  struct MemoEntry {
+    VnhBinding binding;
+    std::size_t holders = 0;
+  };
+  using Memo = std::map<SignatureKey, MemoEntry>;
+
   const policy::Classifier& stage2_cached(ParticipantId id);
   std::vector<Hit> hits_for(Ipv4Prefix prefix) const;
+  /// Makes \p prefix a holder of \p entry, releasing what it held before.
+  void hold(Ipv4Prefix prefix, Memo::iterator entry);
+  /// Releases \p prefix's entry, if any; the last holder erases it.
+  void release(Ipv4Prefix prefix);
 
   /// Synthesizes the restricted stage-1 rules for one (hits, defaults)
   /// signature under \p binding, composes them through the shared stage-2
@@ -128,6 +166,10 @@ class IncrementalEngine {
   SdxCompiler compiler_;
   std::optional<CompiledSdx> current_;
   std::unordered_map<ParticipantId, policy::Classifier> stage2_cache_;
+  /// Signature memo: live signature → binding, and prefix → the entry it
+  /// holds (std::map iterators stay valid across other entries' erasure).
+  Memo memo_;
+  std::unordered_map<Ipv4Prefix, Memo::iterator> held_;
 };
 
 }  // namespace sdx::core

@@ -213,7 +213,7 @@ void SdxRuntime::set_outbound(ParticipantId id,
                         .inbound = {}};
   validate_participant(candidate, participants_);
   p.outbound = std::move(candidate.outbound);
-  ++policy_epoch_;
+  note_policy_change();
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetOutbound;
@@ -238,7 +238,7 @@ void SdxRuntime::set_inbound(ParticipantId id,
                         .inbound = std::move(clauses)};
   validate_participant(candidate, participants_);
   p.inbound = std::move(candidate.inbound);
-  ++policy_epoch_;
+  note_policy_change();
   if (journal_recording_) {
     persist::WalRecord rec;
     rec.type = persist::WalRecordType::kSetInbound;
@@ -318,7 +318,7 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
   FlagOverride suppress(journal_recording_, false);
   p.outbound.clear();
   p.inbound.clear();
-  ++policy_epoch_;
+  note_policy_change();
   // Other participants' clauses toward a dead peer stay installed — their
   // reach sets simply become empty, exactly as with any withdrawal.
   const auto advertised = server_.advertised_by(id);
@@ -328,7 +328,7 @@ std::size_t SdxRuntime::session_down(ParticipantId id) {
     // fast-path bindings *before* recompiling, so nothing pending can
     // re-install state for routes that no longer exist.
     for (auto prefix : advertised) {
-      if (dirty_set_.erase(prefix) != 0) {
+      if (dirty_.erase(prefix) != 0) {
         dirty_order_.erase(
             std::remove(dirty_order_.begin(), dirty_order_.end(), prefix),
             dirty_order_.end());
@@ -378,7 +378,7 @@ const CompiledSdx& SdxRuntime::deploy() {
   // re-advertised — the loop below only walks prefixes the RIB still holds.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
-  dirty_set_.clear();
+  dirty_.clear();
   pending_clock_ = 0;
   raced_order_.clear();
   raced_set_.clear();
@@ -503,14 +503,14 @@ void SdxRuntime::apply_recompile(RecompileJob job) {
   // an explicit re-advertisement — the all_prefixes() walk can't see them.
   std::vector<Ipv4Prefix> pending = std::move(dirty_order_);
   dirty_order_.clear();
-  dirty_set_.clear();
+  dirty_.clear();
   pending_clock_ = 0;
   std::vector<Ipv4Prefix> raced = std::move(raced_order_);
   raced_order_.clear();
   raced_set_.clear();
   for (auto prefix : server_.all_prefixes()) readvertise(prefix);
   for (auto prefix : pending) readvertise(prefix);
-  install_batch(raced);
+  install_batch(raced, nullptr);
   swap_seconds_->observe(seconds_since(t0));
   // Full re-verification after the swap (the raced-delta batch above already
   // re-checked its own prefixes incrementally; the new base needs the rest).
@@ -662,11 +662,12 @@ std::size_t SdxRuntime::flush() {
   if (dirty_order_.empty()) return 0;
   std::vector<Ipv4Prefix> prefixes = std::move(dirty_order_);
   dirty_order_.clear();
-  dirty_set_.clear();
+  ChangedReceivers changed = std::move(dirty_);
+  dirty_.clear();
   batch_flushes_->inc();
   batch_updates_->inc(prefixes.size());
   batch_size_->observe(static_cast<double>(prefixes.size()));
-  install_batch(prefixes);
+  install_batch(prefixes, &changed);
   return prefixes.size();
 }
 
@@ -696,6 +697,11 @@ std::string SdxRuntime::dump_metrics() {
 
 std::string SdxRuntime::dump_trace() const {
   return telemetry_.tracer.render_chrome_json();
+}
+
+void SdxRuntime::note_policy_change() {
+  ++policy_epoch_;
+  if (engine_ && !keep_bindings_on_policy_change_) engine_->forget_bindings();
 }
 
 void SdxRuntime::readvertise(Ipv4Prefix prefix) {
@@ -779,14 +785,18 @@ void SdxRuntime::advertise_to(std::size_t slot, Ipv4Prefix prefix,
 void SdxRuntime::note_update(
     Ipv4Prefix prefix,
     const std::vector<bgp::RouteServer::BestChange>& changes) {
-  if (!installed()) {
-    // No bindings exist yet: only receivers whose best route changed can
-    // see a different advertisement.
-    std::vector<ParticipantId> receivers;
-    receivers.reserve(changes.size());
+  // While a prefix's binding stays put, only receivers whose best route
+  // changed can see a different advertisement.
+  const auto record = [&](std::vector<ParticipantId>& receivers) {
     for (const auto& c : changes) {
       if (c.participant != dropped_receiver_) receivers.push_back(c.participant);
     }
+  };
+  if (!installed()) {
+    // No bindings exist yet: re-advertise to exactly those receivers.
+    std::vector<ParticipantId> receivers;
+    receivers.reserve(changes.size());
+    record(receivers);
     readvertise(prefix, receivers);
     return;
   }
@@ -796,14 +806,17 @@ void SdxRuntime::note_update(
   if (job_ && raced_set_.insert(prefix).second) {
     raced_order_.push_back(prefix);
   }
-  if (dirty_set_.insert(prefix).second) dirty_order_.push_back(prefix);
+  auto [dirty, inserted] = dirty_.try_emplace(prefix);
+  if (inserted) dirty_order_.push_back(prefix);
+  record(dirty->second);
   if (batch_options_.max_pending != 0 &&
       dirty_order_.size() >= batch_options_.max_pending) {
     flush();
   }
 }
 
-void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
+void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes,
+                               const ChangedReceivers* changed) {
   if (prefixes.empty()) return;
   telemetry::Span span = telemetry_.tracer.span("fast_update");
   auto batch = engine_->fast_update_batch(prefixes, vnh_);
@@ -820,12 +833,20 @@ void SdxRuntime::install_batch(const std::vector<Ipv4Prefix>& prefixes) {
                                                     next_cookie_++);
   }
   for (const auto& item : batch.items) {
+    const bool rebound =
+        item.binding && item.binding != advertised_binding(item.prefix);
     if (item.binding) {
       fast_bindings_[item.prefix] = *item.binding;
       fabric_.arp().bind(item.binding->vnh, item.binding->vmac);
     }
     fast_seconds_->observe(amortized);
-    readvertise(item.prefix);
+    // An advertisement depends only on the receiver's best route and the
+    // prefix's binding: a kept binding reaches only the changed receivers.
+    if (rebound || changed == nullptr) {
+      readvertise(item.prefix);
+    } else if (auto it = changed->find(item.prefix); it != changed->end()) {
+      readvertise(item.prefix, it->second);
+    }
     log_update(
         UpdateReport{item.prefix, item.additional_rules, amortized});
   }

@@ -374,11 +374,24 @@ class SdxRuntime {
 
   /// Test seam for the differential oracle's re-advertisement fault
   /// (equivalence h): from now on, best-route changes of participant
-  /// \p id are ignored, so the change-driven re-advertisements made
-  /// before install() skip its routers while full re-advertisements
-  /// still reach them.
+  /// \p id are ignored, so change-driven re-advertisements — before
+  /// install(), and by flushes that keep a prefix's binding — skip its
+  /// routers while full re-advertisements still reach them.
   void drop_receiver_changes_for_test(ParticipantId id) {
     dropped_receiver_ = id;
+  }
+
+  /// Test seam for the differential oracle's binding-reuse check: drops
+  /// the fast path's signature memo, so the next flush binds every dirty
+  /// prefix afresh (the paper's "assume a new VNH").
+  void forget_bindings_for_test() {
+    if (engine_) engine_->forget_bindings();
+  }
+
+  /// Test seam for the differential oracle's binding-reuse fault: from
+  /// now on, policy changes keep the fast path's signature memo.
+  void keep_bindings_across_policy_changes_for_test() {
+    keep_bindings_on_policy_change_ = true;
   }
 
  private:
@@ -419,6 +432,9 @@ class SdxRuntime {
   /// only \p id's partition, swap its flow-table band under its cookie,
   /// ARP-bind the fresh bindings and re-advertise the affected prefixes.
   void recompile_participant_partition(ParticipantId id);
+  /// Bumps the policy epoch and drops the fast path's signature memo
+  /// (clause ids and the rules behind a signature may have changed).
+  void note_policy_change();
   /// Re-advertises \p prefix to every physical participant's routers.
   void readvertise(Ipv4Prefix prefix);
   /// Re-advertises \p prefix to \p receivers only (participant ids; remote
@@ -432,14 +448,23 @@ class SdxRuntime {
   void advertise_to(std::size_t slot, Ipv4Prefix prefix,
                     const std::optional<VnhBinding>& global);
   void bind_arp(const CompiledSdx& compiled);
+  /// Dirty prefixes → the receivers whose best route changed since the
+  /// prefix turned dirty (may repeat).
+  using ChangedReceivers =
+      std::unordered_map<Ipv4Prefix, std::vector<ParticipantId>>;
   /// Routes one route-server update. Before install(): re-advertisement
   /// to the receivers whose best route \p changes altered. After it:
-  /// raced-delta tracking, then the dirty set (flushed by the trigger).
+  /// raced-delta tracking, then the dirty set with those receivers
+  /// recorded (flushed by the trigger).
   void note_update(Ipv4Prefix prefix,
                    const std::vector<bgp::RouteServer::BestChange>& changes);
   /// One fast pass over \p prefixes: compile, install, re-advertise, log.
-  /// Shared by flush() and the post-swap raced-delta re-application.
-  void install_batch(const std::vector<Ipv4Prefix>& prefixes);
+  /// A prefix whose advertised binding the pass leaves unchanged is
+  /// re-advertised only to its receivers in \p changed; a rebound prefix,
+  /// or any prefix when \p changed is null, to every receiver. Shared by
+  /// flush() and the post-swap raced-delta re-application.
+  void install_batch(const std::vector<Ipv4Prefix>& prefixes,
+                     const ChangedReceivers* changed);
   /// Applies a finished, non-stale job on the control thread: swap tables,
   /// drop superseded fast rules, re-apply raced deltas, re-advertise.
   void apply_recompile(RecompileJob job);
@@ -513,7 +538,7 @@ class SdxRuntime {
   // Dirty-set state (control thread only).
   BatchOptions batch_options_{.max_pending = 1, .max_delay_seconds = 0};
   std::vector<Ipv4Prefix> dirty_order_;  ///< arrival order, deduplicated
-  std::unordered_set<Ipv4Prefix> dirty_set_;
+  ChangedReceivers dirty_;  ///< the dirty set, with its changed receivers
   double pending_clock_ = 0;  ///< advance_clock() time since first dirty
 
   // Async recompilation state. policy_epoch_ bumps on any post-install
@@ -529,8 +554,10 @@ class SdxRuntime {
   /// since partitions match disjoint ingress ports.
   std::vector<std::uint32_t> partition_bases_;
 
-  /// Test seam, see drop_receiver_changes_for_test().
+  /// Test seams, see drop_receiver_changes_for_test() and
+  /// keep_bindings_across_policy_changes_for_test().
   std::optional<ParticipantId> dropped_receiver_;
+  bool keep_bindings_on_policy_change_ = false;
 
   /// Safety verification stage (verify/): present iff enabled.
   std::unique_ptr<verify::SafetyChecker> checker_;

@@ -92,11 +92,13 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
   const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
 
-  // Per-update baseline (the default {1, 0} trigger): each update is its
-  // own restricted compilation.
+  // Per-update baseline (the default {1, 0} trigger), each update its own
+  // restricted compilation: a recompile between the two drops the binding
+  // p1 would otherwise lend p2, so both pay a full walk.
   const auto per_update_before =
       counter(rt, "sdx_fast_path_compositions_total");
   rt.announce(b, p1, net::AsPath{65002, 7});
+  rt.background_recompile();
   rt.announce(b, p2, net::AsPath{65002, 7});
   const auto per_update_cost =
       counter(rt, "sdx_fast_path_compositions_total") - per_update_before;
@@ -126,6 +128,52 @@ TEST_F(AsyncUpdatesFixture, BatchSharesCompositionsAcrossEqualSignatures) {
   // Shared signature ⇒ shared binding.
   ASSERT_TRUE(rt.current_binding(p1).has_value());
   EXPECT_EQ(rt.current_binding(p1)->vmac, rt.current_binding(p2)->vmac);
+}
+
+TEST_F(AsyncUpdatesFixture, FlappingPrefixReusesTwoBindings) {
+  // p1 flaps between B's route alone and B's plus C's shorter one. p3 (B
+  // alone) and p2 (B and C) hold those two signatures, so after their two
+  // fresh bindings every flap reuses one: no VNH, no ARP entry, no rule.
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto p2 = Ipv4Prefix::parse("100.2.0.0/16");
+  const auto p3 = Ipv4Prefix::parse("100.3.0.0/16");
+  const std::size_t arp_before = rt.fabric().arp().size();
+  const std::size_t rules_before = rt.fabric().sdx_switch().table().size();
+  rt.announce(b, p3, net::AsPath{65002, 7});
+  rt.announce(c, p2, net::AsPath{65003});
+  const std::size_t rules_held = rt.fabric().sdx_switch().table().size();
+  for (int i = 0; i < 10000; ++i) {
+    rt.announce(c, p1, net::AsPath{65003});
+    ASSERT_EQ(rt.current_binding(p1), rt.current_binding(p2));
+    rt.withdraw(c, p1);
+    ASSERT_EQ(rt.current_binding(p1), rt.current_binding(p3));
+  }
+  EXPECT_LE(rt.fabric().arp().size(), arp_before + 2);
+  EXPECT_GT(rules_held, rules_before);
+  EXPECT_EQ(rt.fabric().sdx_switch().table().size(), rules_held);
+  EXPECT_EQ(egress(rt, a, "100.1.1.1", 80), rt.participant(b).ports[0].id);
+}
+
+TEST_F(AsyncUpdatesFixture, PolicyChangeAfterInstallBindsAfresh) {
+  // Pairwise mode defers a post-install policy change to the next
+  // recompile, but the fast path reads live policies: the memo built under
+  // the old clauses must not lend its bindings to the next flush.
+  const auto p1 = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(b, p1, net::AsPath{65002, 7});
+  const auto first = rt.current_binding(p1);
+  ASSERT_TRUE(first.has_value());
+  rt.announce(b, p1, net::AsPath{65002, 7});
+  EXPECT_EQ(rt.current_binding(p1), first);  // live signature, reused
+
+  const std::size_t arp_before = rt.fabric().arp().size();
+  rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(443), b},
+                      OutboundClause{ClauseMatch{}.dst_port(80), c}});
+  rt.announce(b, p1, net::AsPath{65002, 7});
+  ASSERT_TRUE(rt.current_binding(p1).has_value());
+  EXPECT_NE(rt.current_binding(p1), first);
+  EXPECT_EQ(rt.fabric().arp().size(), arp_before + 1);
+  // The fresh rules follow the new clauses.
+  EXPECT_EQ(egress(rt, a, "100.1.1.1", 443), rt.participant(b).ports[0].id);
 }
 
 TEST_F(AsyncUpdatesFixture, SizeTriggeredAutoFlush) {

@@ -322,6 +322,49 @@ TEST(BgpFrontendTest, ReannounceThatChangesNoBestRouteSendsNoUpdates) {
   EXPECT_EQ(fibs(), installed);
 }
 
+TEST(BgpFrontendTest, FlushThatKeepsTheBindingWritesOnlyChangedReceivers) {
+  // After install, a re-announcement that moves one receiver's best route
+  // but keeps the prefix's signature (and so its binding) is sent to that
+  // receiver alone: one UPDATE, every other FIB untouched.
+  SdxRuntime rt;
+  rt.use_wire_distribution();
+  auto a = rt.add_participant("A", 65001);
+  auto b = rt.add_participant("B", 65002, 2);
+  auto c = rt.add_participant("C", 65003);
+  auto d = rt.add_participant("D", 65004);
+  rt.set_outbound(a, {OutboundClause{ClauseMatch{}.dst_port(80), b}});
+  const auto prefix = Ipv4Prefix::parse("100.1.0.0/16");
+  rt.announce(b, prefix, net::AsPath{65002, 9});
+  rt.announce(c, prefix, net::AsPath{65003});
+  rt.install();
+  // A repeat moves no best route but binds the prefix on the fast path.
+  rt.announce(c, prefix, net::AsPath{65003});
+  const auto binding = rt.current_binding(prefix);
+  ASSERT_TRUE(binding.has_value());
+
+  auto fib_of = [&](bgp::ParticipantId id, std::size_t k = 0) {
+    return rt.router(id, k).rib().routes();
+  };
+  const auto a_fib = fib_of(a), b0_fib = fib_of(b, 0), b1_fib = fib_of(b, 1),
+             c_fib = fib_of(c), d_fib = fib_of(d);
+  auto& sent = rt.telemetry().metrics.counter("sdx_frontend_updates_total");
+  const auto sent_before = sent.value();
+
+  // B's new path has the same length: only C (whose best is B's route)
+  // sees a change; A, B and D keep C's route.
+  rt.announce(b, prefix, net::AsPath{65002, 8});
+  EXPECT_EQ(rt.current_binding(prefix), binding);
+  EXPECT_EQ(sent.value() - sent_before, 1u);
+  EXPECT_EQ(fib_of(a), a_fib);
+  EXPECT_EQ(fib_of(b, 0), b0_fib);
+  EXPECT_EQ(fib_of(b, 1), b1_fib);
+  EXPECT_EQ(fib_of(d), d_fib);
+  ASSERT_EQ(fib_of(c).size(), 1u);
+  EXPECT_NE(fib_of(c), c_fib);
+  EXPECT_EQ(fib_of(c)[0].attrs.as_path, (net::AsPath{65002, 8}));
+  EXPECT_EQ(fib_of(c)[0].attrs.next_hop, binding->vnh);
+}
+
 TEST(BgpFrontendTest, RuntimeWireModeBehavesIdenticallyToDirectMode) {
   // Two identically-configured runtimes — one distributing in-process, one
   // through framed sessions — must deliver identical traffic outcomes.

@@ -256,6 +256,60 @@ TEST(DiffOracle, DetectsReadvertisementSkippingAReceiver) {
       << "a zero-op failure must minimize to zero ops";
 }
 
+TEST(DiffOracle, DetectsReceiverSkippedByAFlushThatKeepsTheBinding) {
+  // Planted at install(), the receiver skip can only show on the flush
+  // branch that re-advertises a prefix whose binding stayed put to its
+  // recorded receivers alone. Random traces reach that branch: some must
+  // fail, always after an op, never before or at install.
+  OracleOptions options;
+  options.fault = OracleOptions::Fault::kDropReceiverChangesAfterInstall;
+  options.check_fast_path = options.check_threads = false;
+  options.check_recovery = options.check_partitioned = false;
+  options.check_classifier = options.check_batch = false;
+  options.check_verifier = false;
+  DifferentialOracle oracle(options);
+  net::SplitMix64 rng(4242);
+  int caught = 0;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::uint8_t> bytes(2 + 4 * kMaxTraceOps);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    const auto trace = decode_trace(bytes);
+    const auto verdict = oracle.check(trace);
+    if (verdict.ok) continue;
+    ++caught;
+    EXPECT_EQ(verdict.oracle, "readvertise");
+    EXPECT_EQ(verdict.detail.find("install"), std::string::npos)
+        << verdict.detail;
+    EXPECT_NE(verdict.detail.find("P1"), std::string::npos) << verdict.detail;
+  }
+  EXPECT_GT(caught, 0) << "no random trace reached the receivers-only flush";
+}
+
+TEST(DiffOracle, DetectsBindingsKeptAcrossPolicyChange) {
+  OracleOptions options;
+  options.fault = OracleOptions::Fault::kKeepBindingsAcrossPolicyChange;
+  DifferentialOracle oracle(options);
+
+  // P2 joins P3 in announcing x2, so both of P1's clauses (80 → P2,
+  // 443 → P3) hit it. Swapping their targets keeps the signature but not
+  // the rules: a memo that survives the swap sends P1's port-80 traffic
+  // for x2 to P2 instead of P3.
+  Trace t;
+  t.participants = 3;
+  t.prefixes = 4;
+  t.ops = {TraceOp{TraceOp::Kind::kAnnounce, 1, 2, 0}};
+  const auto verdict = oracle.check(t);
+  ASSERT_FALSE(verdict.ok) << "planted stale memo went undetected";
+  EXPECT_EQ(verdict.oracle, "fast-path");
+  EXPECT_NE(verdict.detail.find("reused-binding"), std::string::npos)
+      << verdict.detail;
+
+  EXPECT_TRUE(DifferentialOracle().check(t).ok);
+  const auto minimized = oracle.minimize(t);
+  EXPECT_LE(minimized.ops.size(), 3u);
+  EXPECT_FALSE(oracle.check(minimized).ok);
+}
+
 TEST(DiffOracle, ReadvertisementEquivalenceHoldsOnRandomTraces) {
   // Equivalence (h) alone over random announce/withdraw/steer/session-down
   // traces: every FIB equals a full re-advertisement's at every quiescent

@@ -31,7 +31,7 @@ class IncrementalFixture : public ::testing::Test {
   bgp::ParticipantId a = 0, b = 0, c = 0;
 };
 
-TEST_F(IncrementalFixture, FastUpdateAllocatesFreshBindingPerCall) {
+TEST_F(IncrementalFixture, FastUpdateReusesBindingWhileSignatureIsLive) {
   SdxCompiler compiler(rt.participants(), rt.ports(), rt.route_server());
   IncrementalEngine engine(compiler);
   VnhAllocator vnh;
@@ -40,18 +40,65 @@ TEST_F(IncrementalFixture, FastUpdateAllocatesFreshBindingPerCall) {
 
   const auto p = Ipv4Prefix::parse("100.1.0.0/16");
   auto r1 = engine.fast_update_batch({p}, vnh);
-  auto r2 = engine.fast_update_batch({p}, vnh);
   ASSERT_EQ(r1.items.size(), 1u);
-  ASSERT_EQ(r2.items.size(), 1u);
   ASSERT_TRUE(r1.items[0].binding.has_value());
-  ASSERT_TRUE(r2.items[0].binding.has_value());
-  // "assume a new VNH"
-  EXPECT_NE(r1.items[0].binding->vmac, r2.items[0].binding->vmac);
-  EXPECT_EQ(vnh.allocated(), before + 2);
+  EXPECT_EQ(vnh.allocated(), before + 1);
   EXPECT_EQ(r1.groups, 1u);
   EXPECT_GT(r1.additional_rules, 0u);
   EXPECT_EQ(r1.additional_rules, r1.rules.size());
   EXPECT_EQ(r1.items[0].additional_rules, r1.additional_rules);
+
+  // Same signature: the live binding is reused — no VNH, no synthesis, no
+  // composition, no rules (the installed ones match its VMAC already).
+  auto r2 = engine.fast_update_batch({p}, vnh);
+  ASSERT_EQ(r2.items.size(), 1u);
+  EXPECT_EQ(r2.items[0].binding, r1.items[0].binding);
+  EXPECT_EQ(vnh.allocated(), before + 1);
+  EXPECT_EQ(r2.groups, 0u);
+  EXPECT_EQ(r2.compositions, 0u);
+  EXPECT_EQ(r2.additional_rules, 0u);
+  EXPECT_TRUE(r2.rules.empty());
+
+  // C now offers a shorter path: the default vector changes, so the
+  // signature does, and the prefix gets a fresh binding with its rules.
+  rt.announce(c, p, net::AsPath{65003});
+  auto r3 = engine.fast_update_batch({p}, vnh);
+  ASSERT_TRUE(r3.items[0].binding.has_value());
+  EXPECT_NE(r3.items[0].binding->vmac, r1.items[0].binding->vmac);
+  EXPECT_EQ(vnh.allocated(), before + 2);
+  EXPECT_EQ(r3.groups, 1u);
+  EXPECT_GT(r3.additional_rules, 0u);
+
+  // Dropping the memo restores the paper's "assume a new VNH".
+  engine.forget_bindings();
+  auto r4 = engine.fast_update_batch({p}, vnh);
+  ASSERT_TRUE(r4.items[0].binding.has_value());
+  EXPECT_NE(r4.items[0].binding->vmac, r3.items[0].binding->vmac);
+  EXPECT_EQ(vnh.allocated(), before + 3);
+  EXPECT_GT(r4.additional_rules, 0u);
+}
+
+TEST_F(IncrementalFixture, LastHolderLeavingASignatureErasesIt) {
+  SdxCompiler compiler(rt.participants(), rt.ports(), rt.route_server());
+  IncrementalEngine engine(compiler);
+  VnhAllocator vnh;
+  engine.full_recompile(vnh);
+  const auto p = Ipv4Prefix::parse("100.1.0.0/16");
+  const auto first = engine.fast_update_batch({p}, vnh).items[0].binding;
+
+  // p moves to another signature and back: it was the only holder of the
+  // first, so the return binds afresh instead of resurrecting it.
+  rt.announce(c, p, net::AsPath{65003});
+  engine.fast_update_batch({p}, vnh);
+  rt.withdraw(c, p);
+  const auto back = engine.fast_update_batch({p}, vnh).items[0].binding;
+  ASSERT_TRUE(back.has_value());
+  EXPECT_NE(back, first);
+
+  // A full recompile drops the memo too.
+  engine.full_recompile(vnh);
+  const auto after = engine.fast_update_batch({p}, vnh).items[0].binding;
+  EXPECT_NE(after, back);
 }
 
 TEST_F(IncrementalFixture, UntouchedPrefixWithDefaultsStillGetsRules) {
